@@ -4,8 +4,11 @@
 // representations.
 //
 //   ./examples/pattern_comparison [--nx 128] [--ny 64] [--steps 200]
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
@@ -54,8 +57,10 @@ int main(int argc, char** argv) {
   t.print();
 
   // Checkpoint portability: continue the ST run inside an MR engine.
+  // Per-process name: concurrent runs must not share the file.
   const std::string ckpt =
-      (std::filesystem::temp_directory_path() / "pattern_comparison.ckpt")
+      (std::filesystem::temp_directory_path() /
+       ("pattern_comparison." + std::to_string(::getpid()) + ".ckpt"))
           .string();
   save_checkpoint(st, ckpt);
   MrEngine<D2Q9> resumed(ch.geo, tau, Regularization::kProjective, {32, 1, 4});

@@ -1,232 +1,65 @@
 // AA-pattern single-lattice engine (Bailey et al. 2009).
 //
-// The paper's related work motivates reducing LBM's memory footprint on
-// GPUs; before the moment representation, the standard answer was in-place
-// streaming: the AA pattern keeps ONE distribution lattice (Q elements per
-// node — half of ST) by alternating two kernel flavours:
+// Before the moment representation, the standard answer to LBM's GPU memory
+// footprint was in-place streaming: the AA pattern keeps ONE distribution
+// lattice (Q elements per node — half of ST) by alternating two kernel
+// flavours (AaAddressing): a node-local even step and an odd step that
+// performs two half-streams in place. Per-update global traffic is identical
+// to ST (2Q elements), so AA is the paper's natural memory-footprint
+// baseline: it matches MR's bandwidth profile story but not its traffic
+// reduction.
 //
-//   even step   read slot i of x, collide, write f*_i into slot opposite(i)
-//               of x (pure node-local swap; no neighbour traffic);
-//   odd step    gather f_i(x,t+1) = f*_i(x - c_i, t) from slot opposite(i)
-//               of the upwind neighbour, collide, scatter f*_i(t+1) into
-//               slot i of the downwind neighbour x + c_i — performing two
-//               half-streams so that the next even step again reads plainly.
-//
-// Per-update global traffic is identical to ST (2Q elements), so the AA
-// pattern is the paper's natural memory-footprint baseline: it matches MR's
-// *bandwidth* profile story but not its traffic reduction. Included for the
-// memory table and ablations.
-//
-// Storage parity: after an odd step (and at initialization) memory holds the
-// plain pre-collision state; after an even step it holds the node-local
-// swapped post-collision state. moments_at/impose translate both parities to
-// the shared pre-collision moment convention, so boundary passes and tests
-// work unchanged — including mid-cycle.
-//
-// `ST` is the storage-precision policy (element type of the single lattice);
-// compute stays real_t with conversion at the register boundary.
-//
-// Sparse geometries (Geometry::sparse()): the single lattice is
-// tile-compressed exactly like StEngine's pair (tile_kernels.hpp) and each
-// even/odd step issues one launch over the all-fluid tile list and one over
-// the occupancy-masked mixed tiles, so the profiler attributes traffic per
-// tile class. The even step is node-local and loads only the tile's own slot
-// (one int32 per tile); the odd step loads the full neighbour-slot stash.
-// Sparse always runs the scalar kernel bodies (ExecMode::kLanes falls back;
-// bit-identical by construction). Dense geometries take the pre-existing
-// path bit-identically, fields and traffic counters.
+// moments_at/impose translate both storage parities to the shared
+// pre-collision moment convention, so boundary passes and tests work
+// unchanged — including mid-cycle (the reported state after an even step is
+// the pre-collision state of one step ago).
 #pragma once
 
-#include "core/collision.hpp"
-#include "engines/engine.hpp"
-#include "engines/tile_kernels.hpp"
-#include "gpusim/global_array.hpp"
-#include "gpusim/profiler.hpp"
+#include <stdexcept>
+
+#include "engines/dist_engine.hpp"
 
 namespace mlbm {
 
 template <class L, class ST = real_t>
-class AaEngine final : public Engine<L> {
- public:
-  using StorageT = ST;
+class AaEngine final : public DistEngine<L, ST, AaAddressing> {
+  using Base = DistEngine<L, ST, AaAddressing>;
 
-  /// `exec` selects the scalar or lane-batched kernel body. Lane batching is
-  /// safe for the in-place odd step because every lattice word has a unique
-  /// reader == writer node, so only each node's own gather-before-scatter
-  /// order matters — which panels preserve.
-  ///
+ public:
   /// `allow_open_faces` relaxes the no-open-faces validation for slab
   /// decomposition: an interface face is kOpen, its ghost band absorbs the
   /// locally-wrong open-link updates, and the per-step moment exchange
   /// (ghost depth 2 — see MultiDomainEngine) re-imposes the band before the
   /// corruption reaches owned planes. Physical inlet/outlet faces remain
-  /// unsupported.
+  /// unsupported: mid-cycle the AA state is collided-not-yet-streamed, so
+  /// inlet/outlet handling would have to live inside the kernels.
   AaEngine(Geometry geo, real_t tau,
            CollisionScheme scheme = CollisionScheme::kBGK,
            int threads_per_block = 256, ExecMode exec = default_exec_mode(),
-           bool allow_open_faces = false);
-
-  [[nodiscard]] const char* pattern_name() const override { return "ST-AA"; }
-  void initialize(const typename Engine<L>::InitFn& init) override;
-  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
-  void impose(int x, int y, int z, const Moments<L>& m) override;
-  [[nodiscard]] std::size_t state_bytes() const override;
-  [[nodiscard]] StoragePrecision storage_precision() const override {
-    return precision_of_v<ST>;
-  }
-
-  [[nodiscard]] gpusim::Profiler* profiler() override { return &prof_; }
-  [[nodiscard]] const gpusim::Profiler* profiler() const override {
-    return &prof_;
-  }
-  [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
-
-  /// Declared kernel accesses of the two in-place flavours. The analyzer
-  /// re-proves Bailey's invariant from the declaration alone: every gather
-  /// and scatter that share a lattice word also share a thread.
-  [[nodiscard]] analysis::EngineContract access_contract() const override {
-    return analysis::aa_contract(analysis::make_lattice_desc<L>(), sizeof(ST),
-                                 batched_io_);
-  }
-
-  /// Validation hook: scalar per-population I/O instead of batched spans on
-  /// the even (node-local) step. Bytes identical; transactions differ by Q.
-  void set_batched_io(bool on) { batched_io_ = on; }
-  [[nodiscard]] bool batched_io() const { return batched_io_; }
-
-  /// Binds the sanitizer to the profiler and the single in-place lattice.
-  /// The AA pattern rewrites every slot every step (reader thread == writer
-  /// thread per element), so the lattice satisfies the sliding-window
-  /// freshness contract and opts into the staleness check.
-  void set_sanitizer(gpusim::SanitizerHook* san) override {
-    prof_.set_sanitizer_hook(san);
-    f_.set_sanitizer(san, "f", /*sliding_window=*/true);
-    if (sparse_) tdev_.set_sanitizer(san);
-  }
-
-  void set_unique_read_tracking(bool on) override {
-    f_.set_unique_read_tracking(on);
-  }
-  void clear_unique_reads() override { f_.clear_unique_reads(); }
-  [[nodiscard]] std::uint64_t unique_read_bytes() const override {
-    return f_.unique_read_bytes();
-  }
-
-  /// Soft-error surface: the single in-place lattice.
-  [[nodiscard]] std::uint64_t fault_sites() const override {
-    return f_.size();
-  }
-  void inject_storage_bitflip(std::uint64_t site, unsigned bit) override {
-    f_.flip_bit(static_cast<std::size_t>(site % f_.size()), bit);
-  }
-
-  /// Raw snapshot surface: the single in-place lattice. The tag carries the
-  /// storage parity — a blob captured in the swapped (post-even-step)
-  /// representation only restores into an engine re-timed to that phase,
-  /// which restore_state guarantees by calling set_time() first.
-  [[nodiscard]] std::string raw_state_tag() const override {
-    const Box& b = this->geo_.box;
-    std::string tag = std::string(pattern_name()) +
-                      (swapped_phase() ? "|swapped|" : "|plain|") +
-                      std::to_string(b.nx) + "x" + std::to_string(b.ny) + "x" +
-                      std::to_string(b.nz);
-    if (sparse_) {
-      // Compressed-element order depends on the flag field; restores must
-      // come from the identical geometry.
-      tag += "|sparse:" + std::to_string(this->geo_.hash());
-    }
-    return tag;
-  }
-  void serialize_raw_state(std::vector<real_t>& out) const override {
-    out.reserve(out.size() + f_.size());
-    for (std::size_t i = 0; i < f_.size(); ++i) {
-      out.push_back(static_cast<real_t>(f_.raw(static_cast<index_t>(i))));
-    }
-  }
-  void restore_raw_state(const std::vector<real_t>& in) override {
-    if (in.size() != f_.size()) {
-      throw ConfigError("AaEngine: raw snapshot does not match lattice size");
-    }
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      f_.raw(static_cast<index_t>(i)) = static_cast<ST>(in[i]);
+           bool allow_open_faces = false)
+      : Base(std::move(geo), tau, scheme, threads_per_block, exec,
+             AaAddressing{}) {
+    if (allow_open_faces) return;
+    for (const auto& axis : this->geometry().bc.face) {
+      for (const FaceSpec& face : axis) {
+        if (face.type == FaceBC::kOpen) {
+          throw ConfigError(
+              "AaEngine: open (inlet/outlet) faces are not supported; use "
+              "periodic or wall boundaries");
+        }
+      }
     }
   }
 
-  /// Even steps are node-local (ext 0); odd steps partition by source node
-  /// with a one-plane extension (every lattice word has a unique
-  /// reader == writer node, so plane-range launches touch disjoint words).
-  [[nodiscard]] bool supports_frontier_split() const override { return true; }
-
- protected:
-  void do_step() override;
-  void do_step_split(const FrontierSpec& fs,
-                     const typename Engine<L>::FrontierDoneFn& on_frontier)
-      override;
-
- private:
-  [[nodiscard]] index_t soa(int i, index_t elem) const {
-    return static_cast<index_t>(i) * elems_ + elem;
+  void initialize(const typename Engine<L>::InitFn& init) override {
+    if (this->time() % 2 == 1) {
+      throw std::logic_error("AaEngine: initialize() only at even timesteps");
+    }
+    Base::initialize(init);
   }
-  /// Element index of node (x, y, z) in the lattice: the box cell when
-  /// dense, the tile-compressed slot*64+local when sparse (-1 for nodes in
-  /// unallocated all-solid tiles).
-  [[nodiscard]] index_t element(int x, int y, int z) const {
-    return sparse_ ? this->geo_.tiles().element(x, y, z)
-                   : this->geo_.box.idx(x, y, z);
-  }
-  /// True when memory currently holds the even-step (swapped post-collision)
-  /// representation.
-  [[nodiscard]] bool swapped_phase() const { return this->t_ % 2 == 1; }
 
-  void ensure_records();
-  /// One launch covering nodes in planes [rx0, rx1); the full range is
-  /// bit-identical to the monolithic step (see StEngine).
-  void step_even(int rx0, int rx1, gpusim::KernelRecord& rec);
-  void step_odd(int rx0, int rx1, gpusim::KernelRecord& rec);
-  /// Sparse launches over tile-list entries [begin, begin + count): one
-  /// thread per tile, 64 locals swept inside. `masks` is null for the
-  /// all-fluid list. Scalar-only.
-  void step_even_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec);
-  void step_odd_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                      const gpusim::GlobalArray<std::uint64_t>* masks,
-                      int begin, int count, gpusim::KernelRecord& rec);
-  void step_sparse(int fl, int fr, bool frontier_only,
-                   const typename Engine<L>::FrontierDoneFn& on_frontier);
-
-  CollisionScheme scheme_;
-  int threads_per_block_;
-  ExecMode exec_;
-  gpusim::Profiler prof_;
-  gpusim::GlobalArray<ST> f_;
-  bool batched_io_ = true;
-  /// Elements per direction: box cells (dense) or tile slots * 64 (sparse).
-  index_t elems_ = 0;
-  bool sparse_ = false;
-  TileIndexDev tdev_;
-  /// Cached kernel records (even/odd flavours, plus frontier variants for
-  /// split steps) — no string lookup per step. Sparse steps reuse the
-  /// even/odd records for the all-fluid tile launch and record the masked
-  /// mixed-tile launch separately (per-tile-class traffic attribution).
-  gpusim::KernelRecord* krec_even_ = nullptr;
-  gpusim::KernelRecord* krec_odd_ = nullptr;
-  gpusim::KernelRecord* krec_even_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_even_mixed_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_odd_mixed_frontier_ = nullptr;
+  using Base::batched_io;
+  using Base::set_batched_io;
 };
-
-extern template class AaEngine<D2Q9, double>;
-extern template class AaEngine<D3Q19, double>;
-extern template class AaEngine<D3Q27, double>;
-extern template class AaEngine<D3Q15, double>;
-extern template class AaEngine<D2Q9, float>;
-extern template class AaEngine<D3Q19, float>;
-extern template class AaEngine<D3Q27, float>;
-extern template class AaEngine<D3Q15, float>;
 
 }  // namespace mlbm

@@ -1,14 +1,16 @@
 // Common interface of all propagation-pattern engines.
 //
 // Engines own the simulation state of one lattice Boltzmann run and advance
-// it by whole timesteps. Three implementations exist, mirroring the paper's
-// propagation patterns:
+// it by whole timesteps. The implementations mirror the paper's propagation
+// patterns:
 //
 //   ReferenceEngine — plain host two-lattice pull; ground truth for physics
 //                     and for the MR engines' equivalence tests.
 //   StEngine        — Algorithm 1 (standard distribution representation,
-//                     pull) on the gpusim execution model, with counted
-//                     global-memory traffic.
+//                     pull or push) on the gpusim execution model, with
+//                     counted global-memory traffic; AaEngine and EpEngine
+//                     are its in-place relatives. All three are one chassis
+//                     with different addressing (dist_engine.hpp).
 //   MrEngine        — Algorithm 2 (moment representation with shared-memory
 //                     streaming and a sliding window), projective or
 //                     recursive regularization.

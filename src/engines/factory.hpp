@@ -1,15 +1,15 @@
 // Runtime-precision engine construction.
 //
 // The storage-precision policy is a compile-time template parameter of the
-// gpusim engines (StEngine<L, ST>, AaEngine<L, ST>, MrEngine<L, ST>), which
-// keeps the FP64 path bit-identical and the byte accounting exact. CLI tools
-// and benches, however, select the precision at runtime (--precision fp32);
-// these helpers dispatch a StoragePrecision value to the right instantiation
-// behind the type-erasing Engine<L> interface.
+// gpusim engines (StEngine<L, ST>, AaEngine<L, ST>, EpEngine<L, ST>,
+// MrEngine<L, ST>), which keeps the FP64 path bit-identical and the byte
+// accounting exact. CLI tools and benches, however, select the precision at
+// runtime (--precision fp32); these helpers dispatch a StoragePrecision value
+// to the right instantiation behind the type-erasing Engine<L> interface.
 //
-// All four explicit instantiations per engine x {double, float} are already
-// compiled into the library (see the engine .cpp files), so these templates
-// add no object code beyond the dispatch.
+// Every lattice x {double, float} instantiation is already compiled into the
+// library (dist_engine.cpp, mr_engine.cpp), so these templates add no object
+// code beyond the dispatch.
 #pragma once
 
 #include <memory>

@@ -102,7 +102,7 @@ void ReferenceEngine<L>::do_step_split(
     const FrontierSpec& fs,
     const typename Engine<L>::FrontierDoneFn& on_frontier) {
   const Box& b = this->geo_.box;
-  // Source-partitioned push (see StEngine::do_step_split): target planes
+  // Source-partitioned push (see DistEngine::do_step_split): target planes
   // [0, left) are final once sources [0, left] have scattered, and no
   // interior source writes them.
   const int fl = fs.left > 0 ? fs.left + 1 : 0;

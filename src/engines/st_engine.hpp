@@ -5,7 +5,7 @@
 // global memory. This is the paper's "ST" baseline: 2Q storage elements of
 // global traffic per fluid lattice update (Table 2) and no shared memory.
 //
-// Both orderings of Section 3.1 are implemented:
+// Both orderings of Section 3.1 are implemented (StAddressing):
 //  * kPull (default) — stream-then-collide; gathers are irregular, stores
 //    coalesced. "Considered the fastest GPU implementation" (the paper's
 //    baseline). Stored state is post-collision.
@@ -13,229 +13,36 @@
 //    Stored state is pre-collision. Used by the push-vs-pull ablation.
 //
 // The collision defaults to BGK as in the paper; the regularized schemes can
-// be selected for ablation studies.
-//
-// `ST` is the storage-precision policy: the element type of the two global
-// lattices. All per-node arithmetic runs in real_t registers; values convert
-// at the load/store boundary (GlobalArray's `_as` accessors), so with
-// ST = real_t the engine is bit-identical to the pre-policy implementation,
-// and with ST = float it moves exactly half the counted bytes.
-//
-// Sparse geometries (Geometry::sparse()): the lattices are tile-compressed
-// (tile_kernels.hpp) — element slot*64+local instead of the box cell — and
-// each step issues two launches, one over the all-fluid tile list (dense
-// fast path) and one over the mixed tiles (occupancy-masked), so the
-// profiler attributes traffic per tile class. The sparse path is pull-only
-// (push + sparse throws ConfigError) and always runs the scalar kernel
-// body: lane batching would re-pack panels across tile boundaries for no
-// modelled gain, so ExecMode::kLanes falls back to scalar here (results are
-// bit-identical between the modes by construction, so the fallback is
-// unobservable in fields). A dense geometry takes the pre-existing path
-// bit-identically, fields and traffic counters.
+// be selected for ablation studies. Sparse geometries are pull-only.
 #pragma once
 
-#include "core/collision.hpp"
-#include "engines/engine.hpp"
-#include "engines/tile_kernels.hpp"
-#include "gpusim/global_array.hpp"
-#include "gpusim/profiler.hpp"
+#include "engines/dist_engine.hpp"
 
 namespace mlbm {
 
-enum class StreamMode {
-  kPull,  ///< stream-then-collide (paper's ST baseline)
-  kPush,  ///< collide-then-stream (ablation)
-};
-
 template <class L, class ST = real_t>
-class StEngine final : public Engine<L> {
- public:
-  using StorageT = ST;
+class StEngine final : public DistEngine<L, ST, StAddressing> {
+  using Base = DistEngine<L, ST, StAddressing>;
 
-  /// `threads_per_block` is the 1D block size of the fused kernel. `exec`
-  /// selects the scalar or lane-batched kernel body (bit-identical results,
-  /// identical traffic; see core/lanes.hpp).
+ public:
   StEngine(Geometry geo, real_t tau,
            CollisionScheme scheme = CollisionScheme::kBGK,
            int threads_per_block = 256, StreamMode mode = StreamMode::kPull,
-           ExecMode exec = default_exec_mode());
-
-  [[nodiscard]] const char* pattern_name() const override {
-    return mode_ == StreamMode::kPull ? "ST" : "ST-push";
-  }
-  void initialize(const typename Engine<L>::InitFn& init) override;
-  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
-  void impose(int x, int y, int z, const Moments<L>& m) override;
-  [[nodiscard]] std::size_t state_bytes() const override;
-  [[nodiscard]] StoragePrecision storage_precision() const override {
-    return precision_of_v<ST>;
-  }
-
-  [[nodiscard]] gpusim::Profiler* profiler() override { return &prof_; }
-  [[nodiscard]] const gpusim::Profiler* profiler() const override {
-    return &prof_;
-  }
-
-  /// Declared kernel accesses: Q upwind gathers + one span store (pull), or
-  /// one span load + Q downwind scatters (push), between the two lattices.
-  [[nodiscard]] analysis::EngineContract access_contract() const override {
-    return analysis::st_contract(analysis::make_lattice_desc<L>(), sizeof(ST),
-                                 mode_ == StreamMode::kPush, batched_io_);
-  }
-
-  /// Both orderings split cleanly by x-plane: pull partitions by destination
-  /// node (a plane's populations are written only by that plane's threads),
-  /// push by source node with a one-plane interior extension (plane x is
-  /// final once sources x-1..x+1 have scattered).
-  [[nodiscard]] bool supports_frontier_split() const override { return true; }
-
-  [[nodiscard]] CollisionScheme scheme() const { return scheme_; }
-  [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
-  [[nodiscard]] StreamMode stream_mode() const { return mode_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
-
-  /// Validation hook: route per-node population I/O through scalar
-  /// load/store instead of batched spans. Byte counts are identical either
-  /// way; transaction counts differ by the batch width Q (see the traffic
-  /// invariance tests).
-  void set_batched_io(bool on) { batched_io_ = on; }
-  [[nodiscard]] bool batched_io() const { return batched_io_; }
-
-  /// Binds the sanitizer to the profiler and both distribution lattices.
-  /// Ping-pong lattices satisfy the sliding-window freshness contract (the
-  /// source of step t was fully written at step t-1 or host-imposed since),
-  /// so both opt into the staleness check.
-  void set_sanitizer(gpusim::SanitizerHook* san) override {
-    prof_.set_sanitizer_hook(san);
-    f_[0].set_sanitizer(san, "f0", /*sliding_window=*/true);
-    f_[1].set_sanitizer(san, "f1", /*sliding_window=*/true);
-    if (sparse_) tdev_.set_sanitizer(san);
-  }
-
-  void set_unique_read_tracking(bool on) override {
-    f_[0].set_unique_read_tracking(on);
-    f_[1].set_unique_read_tracking(on);
-  }
-  void clear_unique_reads() override {
-    f_[0].clear_unique_reads();
-    f_[1].clear_unique_reads();
-  }
-  [[nodiscard]] std::uint64_t unique_read_bytes() const override {
-    return f_[0].unique_read_bytes() + f_[1].unique_read_bytes();
-  }
-
-  /// Soft-error surface: both distribution lattices (a flip in the lattice
-  /// about to be overwritten is harmless, exactly as on hardware).
-  [[nodiscard]] std::uint64_t fault_sites() const override {
-    return f_[0].size() + f_[1].size();
-  }
-  void inject_storage_bitflip(std::uint64_t site, unsigned bit) override {
-    const std::uint64_t n0 = f_[0].size();
-    const std::uint64_t s = site % fault_sites();
-    if (s < n0) {
-      f_[0].flip_bit(static_cast<std::size_t>(s), bit);
-    } else {
-      f_[1].flip_bit(static_cast<std::size_t>(s - n0), bit);
+           ExecMode exec = default_exec_mode())
+      : Base(std::move(geo), tau, scheme, threads_per_block, exec,
+             StAddressing{mode}) {
+    if (mode == StreamMode::kPush && this->geometry().sparse()) {
+      throw ConfigError(
+          "StEngine: push streaming does not support sparse geometries "
+          "(use pull, the paper's ST baseline)");
     }
   }
 
-  /// Raw snapshot surface: the current lattice only — the other one is pure
-  /// scratch for the next fused kernel, so serializing the write side would
-  /// snapshot garbage and restoring it would be wasted work.
-  [[nodiscard]] std::string raw_state_tag() const override {
-    const Box& b = this->geo_.box;
-    std::string tag = std::string(pattern_name()) + "|" +
-                      std::to_string(b.nx) + "x" + std::to_string(b.ny) +
-                      "x" + std::to_string(b.nz);
-    if (sparse_) {
-      // Compressed-element order depends on the flag field; restores must
-      // come from the identical geometry.
-      tag += "|sparse:" + std::to_string(this->geo_.hash());
-    }
-    return tag;
+  [[nodiscard]] StreamMode stream_mode() const {
+    return this->addressing().mode;
   }
-  void serialize_raw_state(std::vector<real_t>& out) const override {
-    const auto& f = f_[cur_];
-    out.reserve(out.size() + f.size());
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      out.push_back(static_cast<real_t>(f.raw(static_cast<index_t>(i))));
-    }
-  }
-  void restore_raw_state(const std::vector<real_t>& in) override {
-    if (in.size() != f_[cur_].size()) {
-      throw ConfigError("StEngine: raw snapshot does not match lattice size");
-    }
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      f_[cur_].raw(static_cast<index_t>(i)) = static_cast<ST>(in[i]);
-    }
-  }
-
- protected:
-  void do_step() override;
-  void do_step_split(const FrontierSpec& fs,
-                     const typename Engine<L>::FrontierDoneFn& on_frontier)
-      override;
-
- private:
-  [[nodiscard]] index_t soa(int i, index_t elem) const {
-    return static_cast<index_t>(i) * elems_ + elem;
-  }
-  /// Element index of node (x, y, z) in the f lattices: the box cell when
-  /// dense, the tile-compressed slot*64+local when sparse (-1 for nodes in
-  /// unallocated all-solid tiles).
-  [[nodiscard]] index_t element(int x, int y, int z) const {
-    return sparse_ ? this->geo_.tiles().element(x, y, z)
-                   : this->geo_.box.idx(x, y, z);
-  }
-  /// Uncounted population write into the current lattice (host-side setup).
-  void impose_population(int x, int y, int z, const real_t (&f)[L::Q]);
-
-  void ensure_records();
-  /// One fused-kernel launch covering source/destination planes [rx0, rx1).
-  /// The full range (0, nx) reproduces the monolithic step bit-for-bit: the
-  /// range remap r -> (x, y, z) degenerates to the flat cell index.
-  void step_pull(int rx0, int rx1, gpusim::KernelRecord& rec);
-  void step_push(int rx0, int rx1, gpusim::KernelRecord& rec);
-  /// Sparse launch over tile-list entries [begin, begin + count): one thread
-  /// per tile, 64 locals swept inside. `masks` is null for the all-fluid
-  /// list. Pull-only.
-  void step_pull_tiles(const gpusim::GlobalArray<std::int32_t>& list,
-                       const gpusim::GlobalArray<std::uint64_t>* masks,
-                       int begin, int count, gpusim::KernelRecord& rec);
-  void step_sparse(int fl, int fr, bool frontier_only,
-                   const typename Engine<L>::FrontierDoneFn& on_frontier);
-
-  CollisionScheme scheme_;
-  int threads_per_block_;
-  StreamMode mode_;
-  ExecMode exec_;
-  gpusim::Profiler prof_;
-  gpusim::GlobalArray<ST> f_[2];
-  int cur_ = 0;
-  bool batched_io_ = true;
-  /// Elements per direction: box cells (dense) or tile slots * 64 (sparse).
-  index_t elems_ = 0;
-  bool sparse_ = false;
-  TileIndexDev tdev_;
-  /// Cached kernel records (one kernel per engine: mode is fixed), so
-  /// steady-state stepping does no string lookup. Frontier launches of a
-  /// split step record separately so overlap traffic stays attributable.
-  /// Sparse steps record the all-fluid and mixed tile launches separately
-  /// (per-tile-class traffic attribution); krec_ then names the fluid-tile
-  /// kernel and krec_mixed_ the masked one.
-  gpusim::KernelRecord* krec_ = nullptr;
-  gpusim::KernelRecord* krec_frontier_ = nullptr;
-  gpusim::KernelRecord* krec_mixed_ = nullptr;
-  gpusim::KernelRecord* krec_mixed_frontier_ = nullptr;
+  using Base::batched_io;
+  using Base::set_batched_io;
 };
-
-extern template class StEngine<D2Q9, double>;
-extern template class StEngine<D3Q19, double>;
-extern template class StEngine<D3Q27, double>;
-extern template class StEngine<D3Q15, double>;
-extern template class StEngine<D2Q9, float>;
-extern template class StEngine<D3Q19, float>;
-extern template class StEngine<D3Q27, float>;
-extern template class StEngine<D3Q15, float>;
 
 }  // namespace mlbm

@@ -1,4 +1,4 @@
-// Device-side tile index shared by the sparse ST and AA kernels.
+// Device-side tile index of the distribution-engine chassis' tile loop.
 //
 // The sparse engines map one simulated thread to one *tile* (the analogue of
 // a thread block owning a tile on a real GPU): the thread loads the tile's

@@ -24,6 +24,7 @@
 // profiler.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -32,6 +33,10 @@
 #include "gpusim/block.hpp"
 #include "gpusim/dim3.hpp"
 #include "gpusim/profiler.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace mlbm::gpusim {
 
@@ -45,12 +50,21 @@ inline Dim3 unflatten(long long b, const Dim3& grid) {
   return idx;
 }
 
+#ifdef _OPENMP
+/// OpenMP team size of a launch: never more threads than blocks, so a launch
+/// with few blocks neither wakes nor barrier-waits on idle threads.
+inline int team_size(long long nblocks) {
+  return static_cast<int>(
+      std::clamp<long long>(nblocks, 1, omp_get_max_threads()));
+}
+#endif
+
 /// Runs `fn(b)` for b in [0, nblocks) across the host threads. `fn` is a
 /// template parameter: the inner loop is a direct (inlinable) call.
 template <class Fn>
 void parallel_for_blocks(long long nblocks, Fn&& fn) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) num_threads(team_size(nblocks))
   for (long long b = 0; b < nblocks; ++b) {
     fn(b);
   }
@@ -160,7 +174,7 @@ void launch_level_synced(Profiler& prof, KernelRecord& rec, Dim3 grid,
   };
 
 #ifdef _OPENMP
-#pragma omp parallel default(shared)
+#pragma omp parallel default(shared) num_threads(detail::team_size(nblocks))
   {
     for (int level = 0; level < levels; ++level) {
 #pragma omp for schedule(static)

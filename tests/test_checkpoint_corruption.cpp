@@ -16,13 +16,10 @@
 #include "io/checkpoint.hpp"
 #include "util/error.hpp"
 #include "workloads/taylor_green.hpp"
+#include "tmp_path.hpp"
 
 namespace mlbm {
 namespace {
-
-std::string tmp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::vector<char> slurp_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

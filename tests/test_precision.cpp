@@ -23,6 +23,7 @@
 #include "perfmodel/mflups_model.hpp"
 #include "perfmodel/roofline.hpp"
 #include "workloads/taylor_green.hpp"
+#include "tmp_path.hpp"
 
 namespace mlbm {
 namespace {
@@ -33,10 +34,6 @@ Geometry periodic_geo(int nx, int ny, int nz) {
   geo.bc.set_axis(1, FaceBC::kPeriodic);
   geo.bc.set_axis(2, FaceBC::kPeriodic);
   return geo;
-}
-
-std::string tmp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 // ---------------------------------------------------------- GlobalArray

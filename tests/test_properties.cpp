@@ -12,6 +12,7 @@
 #include "engines/st_engine.hpp"
 #include "io/checkpoint.hpp"
 #include "workloads/taylor_green.hpp"
+#include "tmp_path.hpp"
 
 namespace mlbm {
 namespace {
@@ -156,9 +157,7 @@ TEST_P(CheckpointProperty, SaveLoadRoundTripsThroughEveryEngine) {
   a->run(6);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() /
-       (std::string("mlbm_prop_") + kind_name(GetParam()) + ".ckpt"))
-          .string();
+      tmp_path(std::string("mlbm_prop_") + kind_name(GetParam()) + ".ckpt");
   save_checkpoint(*a, path);
 
   // Restore into a *reference* engine regardless of source kind.

@@ -26,6 +26,7 @@
 #include "workloads/channel.hpp"
 #include "workloads/shear_layer.hpp"
 #include "workloads/taylor_green.hpp"
+#include "tmp_path.hpp"
 
 namespace mlbm {
 namespace {
@@ -565,9 +566,7 @@ TEST(Runner, DegradesThenRaisesUnrecoverable) {
 }
 
 TEST(Runner, WritesDiskMirrorInCheckpointV2) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mlbm_runner_mirror.bin")
-          .string();
+  const std::string path = tmp_path("mlbm_runner_mirror.bin");
   RunnerConfig rc;
   rc.checkpoint_interval = 8;
   rc.disk_path = path;

@@ -16,6 +16,7 @@
 #include "geometry/shapes.hpp"
 #include "io/checkpoint.hpp"
 #include "util/error.hpp"
+#include "tmp_path.hpp"
 
 namespace mlbm {
 namespace {
@@ -442,10 +443,6 @@ TEST(SparseSplitStep, MrPorousBitIdenticalD2Q9) {
 
 // -------------------------------------------------------- checkpoint v3
 
-std::string tmp_ckpt(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(SparseCheckpoint, SolidGeometryRoundTripsExactly) {
   // MR stores moments natively, so save -> load is bit-exact on sparse
   // state (ST round-trips through the population reconstruction and is
@@ -454,7 +451,7 @@ TEST(SparseCheckpoint, SolidGeometryRoundTripsExactly) {
   MrEngine<D2Q9> src(geo, kTau, Regularization::kProjective);
   src.initialize(smooth_init<D2Q9>());
   src.run(5);
-  const std::string path = tmp_ckpt("mlbm_sparse_ckpt.bin");
+  const std::string path = tmp_path("mlbm_sparse_ckpt.bin");
   save_checkpoint(src, path);
 
   MrEngine<D2Q9> dst(geo, kTau, Regularization::kProjective);
@@ -468,7 +465,7 @@ TEST(SparseCheckpoint, StSolidGeometryRoundTripsToRounding) {
   StEngine<D2Q9> src(geo, kTau);
   src.initialize(smooth_init<D2Q9>());
   src.run(5);
-  const std::string path = tmp_ckpt("mlbm_sparse_ckpt_st.bin");
+  const std::string path = tmp_path("mlbm_sparse_ckpt_st.bin");
   save_checkpoint(src, path);
 
   StEngine<D2Q9> dst(geo, kTau);
@@ -482,7 +479,7 @@ TEST(SparseCheckpoint, CrossPatternRestoreOnSameGeometry) {
   StEngine<D2Q9> src(geo, kTau);
   src.initialize(smooth_init<D2Q9>());
   src.run(4);
-  const std::string path = tmp_ckpt("mlbm_sparse_ckpt_x.bin");
+  const std::string path = tmp_path("mlbm_sparse_ckpt_x.bin");
   save_checkpoint(src, path);
 
   MrEngine<D2Q9> dst(geo, kTau, Regularization::kProjective);
@@ -505,7 +502,7 @@ TEST(SparseCheckpoint, GeometryMismatchIsRejected) {
   StEngine<D2Q9> src(geo, kTau);
   src.initialize(smooth_init<D2Q9>());
   src.run(2);
-  const std::string path = tmp_ckpt("mlbm_sparse_ckpt_mismatch.bin");
+  const std::string path = tmp_path("mlbm_sparse_ckpt_mismatch.bin");
   save_checkpoint(src, path);
 
   // Same extents, one flag flipped: the v3 geometry hash must reject it.
@@ -539,7 +536,7 @@ TEST(SparseCheckpoint, DenseFileRejectedBySolidEngine) {
   StEngine<D2Q9> src(dense, kTau);
   src.initialize(smooth_init<D2Q9>());
   src.run(2);
-  const std::string path = tmp_ckpt("mlbm_dense_into_sparse.bin");
+  const std::string path = tmp_path("mlbm_dense_into_sparse.bin");
   save_checkpoint(src, path);
 
   const Geometry porous = porous_geo<D2Q9>(24, 0.25, 42);

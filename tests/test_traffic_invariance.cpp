@@ -22,8 +22,10 @@
 
 #include "analysis/sanitizer/sanitizer.hpp"
 #include "engines/aa_engine.hpp"
+#include "engines/ep_engine.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
+#include "workloads/cavity.hpp"
 #include "workloads/taylor_green.hpp"
 
 namespace mlbm {
@@ -31,10 +33,18 @@ namespace {
 
 /// Steps the engine and returns the traffic it generated while stepping
 /// (initialization goes through uncounted raw access, but be explicit).
+/// `split` steps through the frontier/interior split instead.
 template <class L>
-gpusim::TrafficSnapshot traffic_of_run(Engine<L>& eng, int steps) {
+gpusim::TrafficSnapshot traffic_of_run(Engine<L>& eng, int steps,
+                                       bool split = false) {
   const auto before = eng.profiler()->total_traffic();
-  eng.run(steps);
+  for (int s = 0; s < steps; ++s) {
+    if (split) {
+      eng.step_split(FrontierSpec{2, 2}, [] {});
+    } else {
+      eng.step();
+    }
+  }
   return eng.profiler()->total_traffic() - before;
 }
 
@@ -175,14 +185,14 @@ TEST(TrafficInvariance, MrCircularShift3DBatchesByM) {
 // transactions — lane batching changes neither the addresses touched nor
 // how they are grouped into spans).
 
-template <class L>
-void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes,
-                           const TaylorGreen<L>& tg, int steps) {
+template <class L, class W>
+void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes, const W& tg,
+                           int steps, bool split = false) {
   ASSERT_EQ(scalar.pattern_name(), lanes.pattern_name());
   tg.attach(scalar);
   tg.attach(lanes);
-  const auto ts = traffic_of_run<L>(scalar, steps);
-  const auto tl = traffic_of_run<L>(lanes, steps);
+  const auto ts = traffic_of_run<L>(scalar, steps, split);
+  const auto tl = traffic_of_run<L>(lanes, steps, split);
   EXPECT_EQ(ts.bytes_read, tl.bytes_read);
   EXPECT_EQ(ts.bytes_written, tl.bytes_written);
   EXPECT_EQ(ts.reads, tl.reads);
@@ -190,8 +200,11 @@ void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes,
   expect_fields_identical<L>(scalar, lanes);
 }
 
-template <class L, class ST>
-void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
+/// Every gpusim engine, scalar vs lanes, on workload `tg` (periodic
+/// Taylor-Green, or a lid-driven cavity whose moving wall runs the
+/// cu_wall branch of every gather and scatter).
+template <class L, class ST, class W>
+void exec_invariance_matrix(const W& tg, int steps) {
   const real_t tau = 0.8;
   for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
     StEngine<L, ST> scalar(tg.geo, tau, CollisionScheme::kRecursive, 64, mode,
@@ -208,6 +221,15 @@ void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
     // Even number of steps: covers both the node-local even flavour and the
     // in-place gather/scatter odd flavour.
     expect_exec_invariant<L>(scalar, lanes, tg, steps + (steps % 2));
+  }
+  // EP both whole-stepped and through the frontier/interior split, over
+  // both parities.
+  for (const bool split : {false, true}) {
+    EpEngine<L, ST> scalar(tg.geo, tau, CollisionScheme::kBGK, 64,
+                           ExecMode::kScalar);
+    EpEngine<L, ST> lanes(tg.geo, tau, CollisionScheme::kBGK, 64,
+                          ExecMode::kLanes);
+    expect_exec_invariant<L>(scalar, lanes, tg, steps + (steps % 2), split);
   }
   const MrConfig cfg =
       (L::D == 2) ? MrConfig{8, 1, 2} : MrConfig{4, 4, 1};
@@ -230,20 +252,28 @@ void exec_invariance_matrix(const TaylorGreen<L>& tg, int steps) {
 
 TEST(ExecInvariance, D2Q9Fp64LanesMatchScalarBitExact) {
   exec_invariance_matrix<D2Q9, double>(TaylorGreen<D2Q9>::create(16, 0.03), 5);
+  exec_invariance_matrix<D2Q9, double>(LidDrivenCavity<D2Q9>::create(16, 0.1),
+                                       5);
 }
 
 TEST(ExecInvariance, D2Q9Fp32LanesMatchScalarBitExact) {
   exec_invariance_matrix<D2Q9, float>(TaylorGreen<D2Q9>::create(16, 0.03), 5);
+  exec_invariance_matrix<D2Q9, float>(LidDrivenCavity<D2Q9>::create(16, 0.1),
+                                      5);
 }
 
 TEST(ExecInvariance, D3Q19Fp64LanesMatchScalarBitExact) {
   exec_invariance_matrix<D3Q19, double>(
       TaylorGreen<D3Q19>::create(8, 0.03, 8), 3);
+  exec_invariance_matrix<D3Q19, double>(
+      LidDrivenCavity<D3Q19>::create(8, 0.1), 3);
 }
 
 TEST(ExecInvariance, D3Q19Fp32LanesMatchScalarBitExact) {
   exec_invariance_matrix<D3Q19, float>(
       TaylorGreen<D3Q19>::create(8, 0.03, 8), 3);
+  exec_invariance_matrix<D3Q19, float>(
+      LidDrivenCavity<D3Q19>::create(8, 0.1), 3);
 }
 
 // Odd domain extents force partially-filled panels on every row; the ragged
