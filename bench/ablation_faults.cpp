@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "engines/engine_spec.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
 #include "multidev/multi_domain.hpp"
@@ -322,10 +323,7 @@ int main(int argc, char** argv) {
   const auto ch = Channel<D2Q9>::create(2 * n, std::max(n / 2, 6), 1, tau,
                                         0.04);
   const EngineFactory multi_ch = [&ch, tau]() -> std::unique_ptr<Engine<D2Q9>> {
-    auto m = std::make_unique<MultiDomainEngine<D2Q9>>(
-        ch.geo, tau, 2, [tau](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-          return std::make_unique<StEngine<D2Q9>>(std::move(g), tau);
-        });
+    auto m = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, tau, 2);
     ch.attach(*m);
     return m;
   };

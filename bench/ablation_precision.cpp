@@ -60,13 +60,11 @@ CollisionScheme reference_scheme(perf::Pattern p) {
 /// Max-over-time L2 velocity error of a Taylor-Green run against the FP64
 /// host reference with the matching collision scheme.
 template <class L>
-double taylor_green_error(perf::Pattern p, StoragePrecision prec, int n,
-                          int nz, int steps) {
+double taylor_green_error(const EngineSpec& spec, int n, int nz, int steps) {
   const real_t tau = 0.8;
   const auto tg = TaylorGreen<L>::create(n, 0.03, nz);
-  ReferenceEngine<L> ref(tg.geo, tau, reference_scheme(p));
-  auto eng = bench::make_pattern_engine<L>(p, prec, tg.geo, tau,
-                                           bench::default_mr_config(L::D));
+  ReferenceEngine<L> ref(tg.geo, tau, reference_scheme(spec.perf_pattern()));
+  auto eng = make_engine<L>(spec, tg.geo, tau);
   tg.attach(ref);
   tg.attach(*eng);
 
@@ -101,20 +99,21 @@ void run_lattice(std::vector<Row>& rows,
                  int tg_n, int tg_nz, int tg_steps) {
   const gpusim::DeviceSpec v100 = gpusim::DeviceSpec::v100();
   const perf::LatticeInfo lat = perf::lattice_info<L>();
-  const MrConfig cfg = bench::default_mr_config(L::D);
   const Geometry geo = bench::periodic_geo(
       traffic_n, traffic_n, L::D == 3 ? traffic_n : 1);
 
-  for (const perf::Pattern p :
-       {perf::Pattern::kST, perf::Pattern::kMRP, perf::Pattern::kMRR}) {
+  for (const char* name : {"st", "mr-p", "mr-r"}) {
     for (const StoragePrecision prec : precs) {
+      EngineSpec spec = EngineSpec::parse(name);
+      spec.precision = prec;
+      const perf::Pattern p = spec.perf_pattern();
       Row r;
       r.lattice = L::name();
       r.pattern = perf::to_string(p);
       r.precision = to_string(prec);
 
-      auto eng = bench::make_pattern_engine<L>(p, prec, geo, 0.8, cfg);
-      const auto t = bench::measure_traffic<L>(*eng);
+      auto eng = make_engine<L>(spec, geo, 0.8);
+      const auto t = measure_traffic<L>(*eng);
       const double cells = static_cast<double>(geo.box.cells());
       r.state_bpn = static_cast<double>(eng->state_bytes()) / cells;
       r.read_bpf = t.read_bytes_per_node;
@@ -124,13 +123,12 @@ void run_lattice(std::vector<Row>& rows,
       r.model_state_bpn = perf::state_bytes(p, lat, 1, false, eb);
       r.model_bpf = perf::bytes_per_flup(p, lat, eb);
 
-      const perf::KernelCharacteristics kc =
-          bench::characteristics<L>(p, prec);
+      const perf::KernelCharacteristics kc = kernel_characteristics<L>(spec);
       const perf::PerfEstimate est = perf::estimate_saturated(v100, p, lat, kc);
       r.pred_mflups = est.mflups;
       r.roofline_mflups = est.roofline_mflups;
 
-      r.max_l2_err = taylor_green_error<L>(p, prec, tg_n, tg_nz, tg_steps);
+      r.max_l2_err = taylor_green_error<L>(spec, tg_n, tg_nz, tg_steps);
       rows.push_back(r);
     }
   }

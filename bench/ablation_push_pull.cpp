@@ -51,11 +51,11 @@ void compare(std::vector<Row>& rows) {
                                      L::D == 2 ? 24 : 10, L::D == 2 ? 1 : 8);
   StEngine<L> pull(geo, 0.8, CollisionScheme::kBGK, 256, StreamMode::kPull);
   StEngine<L> push(geo, 0.8, CollisionScheme::kBGK, 256, StreamMode::kPush);
-  const auto t_pull = bench::measure_traffic<L>(pull);
-  const auto t_push = bench::measure_traffic<L>(push);
+  const auto t_pull = measure_traffic<L>(pull);
+  const auto t_push = measure_traffic<L>(push);
 
   const auto lat = perf::lattice_info<L>();
-  const auto kc = bench::st_characteristics<L>();
+  const auto kc = kernel_characteristics<L>(EngineSpec{});
 
   const auto v100 = gpusim::DeviceSpec::v100();
   const auto mi100 = gpusim::DeviceSpec::mi100();

@@ -2,10 +2,11 @@
 // (the null-hook production path) and on (full shadow tracking).
 //
 // Two numbers matter:
-//  * off-mode MFLUPS must sit on top of the BENCH_wallclock baseline — the
+//  * off-mode MFLUPS must sit on top of the host benchmark's baseline — the
 //    sanitizer hook plumbing compiles to one hoisted null-pointer test per
 //    launch/loop, so an un-instrumented run must not pay for the feature
-//    (<2% is the acceptance gate; compare against BENCH_wallclock.json);
+//    (<2% is the acceptance gate; compare against perfbench's
+//    counters-off rows);
 //  * on-mode overhead is reported, not gated — shadow stamps on every
 //    global element and shared word are expected to cost a few x, exactly
 //    like compute-sanitizer on real hardware.
@@ -109,7 +110,7 @@ int main(int argc, char** argv) {
   std::vector<Result> rows;
   {
     const Geometry geo = bench::periodic_geo(n, n, 1);
-    const MrConfig cfg = bench::default_mr_config(2);
+    const MrConfig cfg = default_mr_config(2);
     const MrConfig circ{cfg.tile_x, cfg.tile_y, cfg.tile_s,
                         MomentStorage::kCircularShift};
     measure<D2Q9>(rows, "ST", geo, steps, hazard_seen,
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
   }
   {
     const Geometry geo = bench::periodic_geo(n3d, n3d, n3d);
-    const MrConfig cfg = bench::default_mr_config(3);
+    const MrConfig cfg = default_mr_config(3);
     const MrConfig circ{cfg.tile_x, cfg.tile_y, cfg.tile_s,
                         MomentStorage::kCircularShift};
     measure<D3Q19>(rows, "ST", geo, steps3d, hazard_seen, [&] {
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\noff-mode rows are the null-hook production path; compare them to\n"
-      "BENCH_wallclock.json (counters-off rows) for the <2%% plumbing gate.\n");
+      "perfbench's counters-off rows for the <2%% plumbing gate.\n");
 
   if (!write_json(out, rows)) {
     std::fprintf(stderr, "\nerror: could not write %s\n", out.c_str());

@@ -19,7 +19,7 @@ namespace {
 
 template <class L>
 void compare(int nx, int ny, int nz, int steps, CsvWriter& csv) {
-  MrConfig pp = bench::default_mr_config(L::D);
+  MrConfig pp = default_mr_config(L::D);
   MrConfig cs = pp;
   cs.storage = MomentStorage::kCircularShift;
 
@@ -27,8 +27,8 @@ void compare(int nx, int ny, int nz, int steps, CsvWriter& csv) {
   MrEngine<L> a(geo, 0.8, Regularization::kProjective, pp);
   MrEngine<L> b(geo, 0.8, Regularization::kProjective, cs);
 
-  const auto ta = bench::measure_traffic<L>(a, steps);
-  const auto tb = bench::measure_traffic<L>(b, steps);
+  const auto ta = measure_traffic<L>(a, steps);
+  const auto tb = measure_traffic<L>(b, steps);
 
   // Physics must agree exactly after the measurement runs (same arithmetic).
   double max_diff = 0;

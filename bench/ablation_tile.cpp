@@ -30,7 +30,9 @@ void sweep(const std::vector<MrConfig>& configs, CsvWriter& csv) {
   AsciiTable t({"tile", "threads", "shared KiB", "halo", "V100 blk/SM",
                 "V100 MFLUPS", "MI100 blk/SM", "MI100 MFLUPS"});
   for (const MrConfig& cfg : configs) {
-    const auto kc = bench::mr_characteristics<L>(Pattern::kMRP, cfg);
+    const auto kc = kernel_characteristics<L>(
+        {EngineSpec::Pattern::kMRP, StoragePrecision::kFP64,
+         EngineSpec::Tile{cfg.tile_x, cfg.tile_y, cfg.tile_s}});
     const auto ev = perf::estimate_saturated(v100, Pattern::kMRP, lat, kc);
     const auto em = perf::estimate_saturated(mi100, Pattern::kMRP, lat, kc);
     std::string tile = std::to_string(cfg.tile_x);

@@ -1,13 +1,13 @@
-// Shared helpers for the benchmark harnesses: measuring kernel
-// characteristics from the instrumented engines and assembling the paper's
-// problem-size sweeps.
+// Shared helpers for the benchmark harnesses: benchmark geometries, unique
+// read counts of the instrumented engines and the paper's problem-size
+// sweeps.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
 #include "perfmodel/efficiency.hpp"
@@ -18,12 +18,6 @@
 #include "workloads/taylor_green.hpp"
 
 namespace mlbm::bench {
-
-/// Default MR tile geometry per dimension (chosen so V100 and MI100 both fit
-/// at least two blocks per SM; see ablation_tile for the sweep).
-inline MrConfig default_mr_config(int dim) {
-  return dim == 2 ? MrConfig{32, 1, 4} : MrConfig{8, 8, 1};
-}
 
 inline Geometry periodic_geo(int nx, int ny, int nz) {
   Geometry geo(Box{nx, ny, nz});
@@ -43,34 +37,6 @@ inline Geometry wallx_geo(int nx, int ny, int nz) {
   return geo;
 }
 
-struct MeasuredTraffic {
-  double read_bytes_per_node = 0;
-  double write_bytes_per_node = 0;
-  double halo_read_fraction = 0;  ///< extra logical reads over the nominal M
-};
-
-/// Runs a few instrumented steps on a small periodic domain and returns the
-/// per-node traffic. The measurement is exact (the engines' access pattern
-/// is size-independent).
-template <class L, class E>
-MeasuredTraffic measure_traffic(E& eng, int steps = 3) {
-  eng.initialize(
-      [](int, int, int) { return equilibrium_moments<L>(1.0, {}); });
-  eng.step();  // exclude warm-up
-  const auto before = eng.profiler()->total_traffic();
-  eng.run(steps);
-  const auto t = eng.profiler()->total_traffic() - before;
-  const double nodes =
-      static_cast<double>(eng.geometry().box.cells()) * steps;
-  MeasuredTraffic m;
-  m.read_bytes_per_node = static_cast<double>(t.bytes_read) / nodes;
-  m.write_bytes_per_node = static_cast<double>(t.bytes_written) / nodes;
-  const double nominal = m.write_bytes_per_node;  // writes have no halo
-  m.halo_read_fraction =
-      nominal > 0 ? m.read_bytes_per_node / nominal - 1.0 : 0.0;
-  return m;
-}
-
 /// Distinct global elements read in one step, per node — the DRAM read
 /// traffic under an ideal cache (what nvvp/rocprof attribute to DRAM).
 template <class L, class E>
@@ -84,79 +50,6 @@ double measure_unique_read_bytes_per_node(E& eng) {
   const double bytes = static_cast<double>(eng.unique_read_bytes());
   eng.set_unique_read_tracking(false);
   return bytes / static_cast<double>(eng.geometry().box.cells());
-}
-
-/// Kernel characteristics of the ST pattern (measured flops, standard 1D
-/// blocks).
-template <class L>
-perf::KernelCharacteristics st_characteristics() {
-  perf::KernelCharacteristics kc;
-  kc.threads_per_block = 256;
-  kc.shared_bytes_per_block = 0;
-  kc.flops_per_flup = perf::flops_per_flup<L>(perf::Pattern::kST);
-  return kc;
-}
-
-/// Kernel characteristics of an MR pattern: block geometry and shared bytes
-/// from the engine, flops from the op counter, halo fraction measured on a
-/// small instrumented run.
-template <class L>
-perf::KernelCharacteristics mr_characteristics(perf::Pattern p,
-                                               const MrConfig& cfg) {
-  const Regularization reg = p == perf::Pattern::kMRR
-                                 ? Regularization::kRecursive
-                                 : Regularization::kProjective;
-  const int n0 = cfg.tile_x * 2;
-  const int n1 = (L::D == 3) ? cfg.tile_y * 2 : cfg.tile_s * 4 + 4;
-  const int n2 = (L::D == 3) ? cfg.tile_s * 4 + 4 : 1;
-  Geometry geo = periodic_geo(n0, n1, n2);
-  MrEngine<L> eng(geo, 0.8, reg, cfg);
-  const MeasuredTraffic t = measure_traffic<L>(eng);
-
-  perf::KernelCharacteristics kc;
-  kc.threads_per_block = eng.threads_per_block();
-  kc.shared_bytes_per_block = eng.shared_bytes_per_block();
-  kc.flops_per_flup = perf::flops_per_flup<L>(p);
-  kc.halo_read_fraction = t.halo_read_fraction;
-  return kc;
-}
-
-template <class L>
-perf::KernelCharacteristics characteristics(perf::Pattern p) {
-  return p == perf::Pattern::kST
-             ? st_characteristics<L>()
-             : mr_characteristics<L>(p, default_mr_config(L::D));
-}
-
-/// Characteristics under a storage-precision policy: identical kernel shape
-/// and flop count (compute stays FP64), storage element width scaled.
-template <class L>
-perf::KernelCharacteristics characteristics(perf::Pattern p,
-                                            StoragePrecision prec) {
-  perf::KernelCharacteristics kc = characteristics<L>(p);
-  kc.storage_elem_bytes = perf::elem_bytes_of(prec);
-  return kc;
-}
-
-/// Builds the engine for a perfmodel Pattern at a runtime storage precision
-/// (ST defaults: BGK pull, 256 threads; MR: the dimension's default tiles).
-template <class L>
-std::unique_ptr<Engine<L>> make_pattern_engine(
-    perf::Pattern p, StoragePrecision prec, Geometry geo, real_t tau,
-    MrConfig cfg = {}, ExecMode exec = default_exec_mode()) {
-  switch (p) {
-    case perf::Pattern::kST:
-      return make_st_engine<L>(prec, std::move(geo), tau,
-                               CollisionScheme::kBGK, 256, StreamMode::kPull,
-                               exec);
-    case perf::Pattern::kMRP:
-      return make_mr_engine<L>(prec, std::move(geo), tau,
-                               Regularization::kProjective, cfg, exec);
-    case perf::Pattern::kMRR:
-      return make_mr_engine<L>(prec, std::move(geo), tau,
-                               Regularization::kRecursive, cfg, exec);
-  }
-  return nullptr;
 }
 
 /// Thread blocks launched per timestep at a given domain shape.

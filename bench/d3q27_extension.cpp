@@ -27,8 +27,8 @@ int main() {
   Geometry geo = bench::periodic_geo(16, 16, 12);
   StEngine<D3Q27> st(geo, 0.8);
   MrEngine<D3Q27> mr(geo, 0.8, Regularization::kProjective, {8, 8, 1});
-  const auto t_st = bench::measure_traffic<D3Q27>(st);
-  const auto t_mr = bench::measure_traffic<D3Q27>(mr);
+  const auto t_st = measure_traffic<D3Q27>(st);
+  const auto t_mr = measure_traffic<D3Q27>(mr);
 
   AsciiTable meas({"pattern", "B/F nominal", "measured write B/node",
                    "measured read B/node"});
@@ -52,8 +52,10 @@ int main() {
     const auto li = perf::lattice_info<LL>();
     for (const auto& dev : {v100, mi100}) {
       double st_mflups = 0;
-      for (const Pattern p : {Pattern::kST, Pattern::kMRP, Pattern::kMRR}) {
-        const auto kc = bench::characteristics<LL>(p);
+      for (const char* name : {"st", "mr-p", "mr-r"}) {
+        const EngineSpec spec = EngineSpec::parse(name);
+        const Pattern p = spec.perf_pattern();
+        const auto kc = kernel_characteristics<LL>(spec);
         const auto e = perf::estimate_saturated(dev, p, li, kc);
         if (p == Pattern::kST) st_mflups = e.mflups;
         const double sp = e.mflups / st_mflups;

@@ -30,8 +30,9 @@ void run_figure(const FigSpec& spec, const std::string& csv_name,
 
   const std::vector<gpusim::DeviceSpec> devices = {
       gpusim::DeviceSpec::v100(), gpusim::DeviceSpec::mi100()};
-  const std::vector<Pattern> patterns = {Pattern::kST, Pattern::kMRP,
-                                         Pattern::kMRR};
+  const std::vector<EngineSpec> specs = {EngineSpec::parse("st"),
+                                         EngineSpec::parse("mr-p"),
+                                         EngineSpec::parse("mr-r")};
   const auto lat = perf::lattice_info<L>();
   const auto sizes = spec.dim == 2 ? sweep_sizes_2d() : sweep_sizes_3d();
 
@@ -45,18 +46,17 @@ void run_figure(const FigSpec& spec, const std::string& csv_name,
     AsciiTable t({"N", "cells", "ST", "EP", "MR-P", "MR-R", "roof ST",
                   "roof MR"});
 
-    std::vector<std::vector<double>> series(patterns.size());
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      const auto kc = lat.dim == 2
-                          ? characteristics<D2Q9>(patterns[p])
-                          : characteristics<L>(patterns[p]);
+    std::vector<std::vector<double>> series(specs.size());
+    for (std::size_t p = 0; p < specs.size(); ++p) {
+      const Pattern pattern = specs[p].perf_pattern();
+      const auto kc = lat.dim == 2 ? kernel_characteristics<D2Q9>(specs[p])
+                                   : kernel_characteristics<L>(specs[p]);
       for (long long n : sizes) {
         const long long ny = n, nz = spec.dim == 3 ? n : 1;
         const long long cells = n * ny * nz;
-        const long long blocks =
-            blocks_for(patterns[p], spec.dim, n, ny, nz, kc);
-        series[p].push_back(perf::mflups_at_size(dev, patterns[p], lat, kc,
-                                                 cells, blocks));
+        const long long blocks = blocks_for(pattern, spec.dim, n, ny, nz, kc);
+        series[p].push_back(
+            perf::mflups_at_size(dev, pattern, lat, kc, cells, blocks));
       }
     }
     // EP column: the in-place engine keeps ST's kernel shape, flop count
@@ -85,9 +85,10 @@ void run_figure(const FigSpec& spec, const std::string& csv_name,
              AsciiTable::num(series[1][s], 0),
              AsciiTable::num(series[2][s], 0), AsciiTable::num(roof_st, 0),
              AsciiTable::num(roof_mr, 0)});
-      for (std::size_t p = 0; p < patterns.size(); ++p) {
-        csv.row({dev.name, perf::to_string(patterns[p]), std::to_string(n),
-                 std::to_string(cells), CsvWriter::num(series[p][s]),
+      for (std::size_t p = 0; p < specs.size(); ++p) {
+        csv.row({dev.name, perf::to_string(specs[p].perf_pattern()),
+                 std::to_string(n), std::to_string(cells),
+                 CsvWriter::num(series[p][s]),
                  CsvWriter::num(p == 0 ? roof_st : roof_mr)});
       }
       csv.row({dev.name, "EP", std::to_string(n), std::to_string(cells),

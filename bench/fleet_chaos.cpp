@@ -57,16 +57,14 @@ DevicePool make_pool() {
 std::vector<JobSpec> make_jobs(int count, int steps) {
   const Workload workloads[] = {Workload::kTaylorGreen, Workload::kCavity,
                                 Workload::kCylinder};
-  const perf::Pattern patterns[] = {perf::Pattern::kST, perf::Pattern::kMRP,
-                                    perf::Pattern::kMRR};
+  const char* patterns[] = {"st", "mr-p", "mr-r"};
   std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     JobSpec spec;
     spec.workload = workloads[i % 3];
-    spec.pattern = patterns[(i / 3) % 3];
-    spec.precision =
-        (i % 5 == 4) ? StoragePrecision::kFP32 : StoragePrecision::kFP64;
+    spec.engine = EngineSpec::parse(patterns[(i / 3) % 3]);
+    if (i % 5 == 4) spec.engine.precision = StoragePrecision::kFP32;
     spec.n = spec.workload == Workload::kCylinder ? 10 + 2 * (i % 3)
                                                   : 16 + 4 * (i % 3);
     spec.steps = steps;

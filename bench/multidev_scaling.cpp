@@ -106,13 +106,8 @@ std::unique_ptr<MultiDomainEngine<D3Q19>> run_mode(
   // side (the split is tile-granular), so even the thinnest strong-scaling
   // slabs retain a real interior launch and the perfmodel's plane-based
   // frontier/interior partition matches the engine's exactly.
-  const MrConfig cfg{2, 8, 1};
-  auto multi = std::make_unique<MultiDomainEngine<D3Q19>>(
-      ch.geo, tau, ndev,
-      [&](Geometry g, int) -> std::unique_ptr<Engine<D3Q19>> {
-        return std::make_unique<MrEngine<D3Q19>>(
-            std::move(g), tau, Regularization::kProjective, cfg);
-      });
+  auto multi = make_multi_engine<D3Q19>(EngineSpec::parse("mr-p:fp64:2x8x1"),
+                                        ch.geo, tau, ndev);
   multi->set_exchange_mode(mode);
   multi->set_timeline_model(gpusim::DeviceSpec::v100(), link);
   ch.attach(*multi);
@@ -233,8 +228,9 @@ void analytic_projection() {
     std::printf("-- %s (%.0f GB/s per direction) --\n", link.name, link.gbs);
     AsciiTable t({"devices", "MR-P eff. (M=10/face)", "ST eff. (Q=19/face)"});
     for (int k = 1; k <= 16; k *= 2) {
-      const auto kc_mr = bench::characteristics<D3Q19>(Pattern::kMRP);
-      const auto kc_st = bench::characteristics<D3Q19>(Pattern::kST);
+      const auto kc_mr =
+          kernel_characteristics<D3Q19>(EngineSpec::parse("mr-p"));
+      const auto kc_st = kernel_characteristics<D3Q19>(EngineSpec{});
       const double e_mr =
           efficiency(v100, Pattern::kMRP, lat, kc_mr, n, k, link.gbs, 10);
       const double e_st =
@@ -278,13 +274,8 @@ int main(int argc, char** argv) {
     mono.run(6);
 
     auto make = [&](ExchangeMode m) {
-      auto e = std::make_unique<MultiDomainEngine<D3Q19>>(
-          ch.geo, tau, 4,
-          [&](Geometry g, int) -> std::unique_ptr<Engine<D3Q19>> {
-            return std::make_unique<MrEngine<D3Q19>>(
-                std::move(g), tau, Regularization::kProjective,
-                MrConfig{4, 4, 1});
-          });
+      auto e = make_multi_engine<D3Q19>(
+          EngineSpec::parse("mr-p:fp64:4x4x1"), ch.geo, tau, 4);
       e->set_exchange_mode(m);
       ch.attach(*e);
       e->run(6);
@@ -332,8 +323,8 @@ int main(int argc, char** argv) {
   {
     MrEngine<D3Q19> probe(bench::periodic_geo(16, 16, 8), tau,
                           Regularization::kProjective,
-                          bench::default_mr_config(3));
-    const auto t = bench::measure_traffic<D3Q19>(probe);
+                          default_mr_config(3));
+    const auto t = measure_traffic<D3Q19>(probe);
     bytes_per_cell = t.read_bytes_per_node + t.write_bytes_per_node;
   }
 

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "engines/aa_engine.hpp"
 #include "geometry/shapes.hpp"
 #include "perfmodel/report.hpp"
 #include "perfmodel/sparse.hpp"
@@ -53,38 +52,6 @@ struct Series {
   double predicted_crossover = 1;
 };
 
-enum class Eng { kST, kAA, kMRP };
-
-const char* name_of(Eng e) {
-  switch (e) {
-    case Eng::kST: return "ST";
-    case Eng::kAA: return "AA";
-    case Eng::kMRP: return "MR-P";
-  }
-  return "?";
-}
-
-Pattern pattern_of(Eng e) {
-  // AA moves ST's bytes (single lattice, two accesses per value); the
-  // perfmodel has no separate AA pattern.
-  return e == Eng::kMRP ? Pattern::kMRP : Pattern::kST;
-}
-
-template <class L>
-std::unique_ptr<Engine<L>> make_engine(Eng e, Geometry geo) {
-  switch (e) {
-    case Eng::kST:
-      return std::make_unique<StEngine<L>>(std::move(geo), 0.8);
-    case Eng::kAA:
-      return std::make_unique<AaEngine<L>>(std::move(geo), 0.8);
-    case Eng::kMRP:
-      return std::make_unique<MrEngine<L>>(std::move(geo), 0.8,
-                                           Regularization::kProjective,
-                                           bench::default_mr_config(L::D));
-  }
-  return nullptr;
-}
-
 /// Bytes per fluid update over `steps` steps (warm-up excluded; steps stays
 /// even so AA measures full even/odd cycles).
 template <class L>
@@ -103,16 +70,17 @@ std::pair<double, double> measure_bpf(Engine<L>& eng, long long fluid,
 }
 
 template <class L>
-Series sweep(Eng e, int n0, int n1, int n2, int steps) {
+Series sweep(const EngineSpec& spec, int n0, int n1, int n2, int steps) {
   Series s;
   s.lattice = L::name();
-  s.pattern = name_of(e);
+  s.pattern = spec.to_string();
   const auto lat = perf::lattice_info<L>();
-  const Pattern p = pattern_of(e);
+  // AA moves ST's bytes (single lattice, two accesses per value).
+  const Pattern p = spec.perf_pattern();
 
   {
     Geometry geo = bench::periodic_geo(n0, n1, n2);
-    auto eng = make_engine<L>(e, geo);
+    auto eng = make_engine<L>(spec, geo, 0.8);
     s.dense_unit_bpf =
         measure_bpf<L>(*eng, geo.box.cells(), steps).first;
   }
@@ -131,7 +99,7 @@ Series sweep(Eng e, int n0, int n1, int n2, int steps) {
     if (fluid == 0) continue;
     const double phi =
         static_cast<double>(fluid) / static_cast<double>(geo.box.cells());
-    auto eng = make_engine<L>(e, geo);
+    auto eng = make_engine<L>(spec, geo, 0.8);
     const auto [bpf, total] = measure_bpf<L>(*eng, fluid, steps);
     Point pt;
     pt.phi = phi;
@@ -240,9 +208,10 @@ int main(int argc, char** argv) {
   perf::print_banner("Geometry", "sparse vs dense traffic crossover");
 
   std::vector<Series> all;
-  for (Eng e : {Eng::kST, Eng::kAA, Eng::kMRP}) {
-    all.push_back(sweep<D2Q9>(e, n2d, n2d, 1, steps));
-    all.push_back(sweep<D3Q19>(e, n3d, n3d, n3d, steps));
+  for (const char* name : {"st", "aa", "mr-p"}) {
+    const EngineSpec spec = EngineSpec::parse(name);
+    all.push_back(sweep<D2Q9>(spec, n2d, n2d, 1, steps));
+    all.push_back(sweep<D3Q19>(spec, n3d, n3d, n3d, steps));
   }
 
   AsciiTable t({"lattice", "pattern", "dense B/FLUP", "sparse B/FLUP @0.3",

@@ -10,7 +10,6 @@
 #include "util/table.hpp"
 
 using namespace mlbm;
-using perf::Pattern;
 
 int main() {
   perf::print_banner("Speedups", "Saturated MFLUPS and MR-P/ST speedups");
@@ -25,9 +24,13 @@ int main() {
     using L = decltype(lattice_tag);
     const auto lat = perf::lattice_info<L>();
     Cell c{};
-    c.st = perf::estimate_saturated(dev, Pattern::kST, lat,
-                                    bench::characteristics<L>(Pattern::kST))
-               .mflups;
+    const auto saturated = [&](const char* spec) {
+      const EngineSpec s = EngineSpec::parse(spec);
+      return perf::estimate_saturated(dev, s.perf_pattern(), lat,
+                                      kernel_characteristics<L>(s))
+          .mflups;
+    };
+    c.st = saturated("st");
     // EP keeps ST's kernel shape and flop count and moves ST's 2Q elements
     // (ep_bytes_per_flup == bytes_per_flup(kST), pinned in the verify
     // matrix), so the saturated model evaluates it through the ST pattern.
@@ -35,12 +38,8 @@ int main() {
     // baseline: same speed as ST at HALF the footprint, so MR-P/EP is the
     // honest remaining speedup claim.
     c.ep = c.st;
-    c.mrp = perf::estimate_saturated(dev, Pattern::kMRP, lat,
-                                     bench::characteristics<L>(Pattern::kMRP))
-                .mflups;
-    c.mrr = perf::estimate_saturated(dev, Pattern::kMRR, lat,
-                                     bench::characteristics<L>(Pattern::kMRR))
-                .mflups;
+    c.mrp = saturated("mr-p");
+    c.mrr = saturated("mr-r");
     return c;
   };
 

@@ -3,6 +3,8 @@
 // recomputed from formulas. The measured write traffic matches the nominal
 // 2x(dof) figure exactly; logical reads additionally show the MR halo
 // overhead that real hardware serves from L2 (DESIGN.md §2).
+#include <vector>
+
 #include "common.hpp"
 #include "perfmodel/report.hpp"
 #include "perfmodel/roofline.hpp"
@@ -10,7 +12,6 @@
 #include "util/table.hpp"
 
 using namespace mlbm;
-using perf::Pattern;
 
 namespace {
 
@@ -25,67 +26,27 @@ struct Row {
   double unique_read;  // per node, ideal-cache (DRAM) reads
 };
 
+/// One table row from two fresh engines of `name` (counted traffic, then
+/// unique reads). EP streams in place over one lattice but still moves ST's
+/// 2Q elements per update: the table's point is that the footprint halving
+/// is free in traffic, which keeps MR's 2M the only B/F reduction.
 template <class L>
-Row measure_st() {
-  Geometry geo = bench::periodic_geo(L::D == 2 ? 32 : 12, L::D == 2 ? 24 : 10,
-                                     L::D == 2 ? 1 : 8);
-  StEngine<L> eng(geo, 0.8);
-  const auto t = bench::measure_traffic<L>(eng);
-  StEngine<L> eng2(geo, 0.8);
-  const double uniq = bench::measure_unique_read_bytes_per_node<L>(eng2);
+Row measure(const char* name) {
+  const EngineSpec spec = EngineSpec::parse(name);
+  const bool mr = spec.is_mr();
+  const int nx = L::D == 2 ? (mr ? 64 : 32) : (mr ? 16 : 12);
+  const int ny = L::D == 2 ? 24 : (mr ? 16 : 10);
+  const Geometry geo = bench::periodic_geo(nx, ny, L::D == 2 ? 1 : 8);
+  const auto eng = make_engine<L>(spec, geo, 0.8);
+  const auto t = measure_traffic<L>(*eng);
+  const auto eng2 = make_engine<L>(spec, geo, 0.8);
+  const double uniq = bench::measure_unique_read_bytes_per_node<L>(*eng2);
   const auto lat = perf::lattice_info<L>();
-  return {"ST",
-          L::name(),
-          perf::bytes_per_flup(Pattern::kST, lat),
-          perf::bytes_per_flup(Pattern::kST, lat),
-          t.read_bytes_per_node,
-          t.write_bytes_per_node,
-          t.halo_read_fraction,
-          uniq};
-}
-
-template <class L>
-Row measure_ep() {
-  // EP streams in place over one lattice but still moves ST's 2Q elements
-  // per update: the table's point is that the footprint halving is free in
-  // traffic, which keeps MR's 2M the only B/F reduction.
-  Geometry geo = bench::periodic_geo(L::D == 2 ? 32 : 12, L::D == 2 ? 24 : 10,
-                                     L::D == 2 ? 1 : 8);
-  EpEngine<L> eng(geo, 0.8);
-  const auto t = bench::measure_traffic<L>(eng);
-  EpEngine<L> eng2(geo, 0.8);
-  const double uniq = bench::measure_unique_read_bytes_per_node<L>(eng2);
-  const auto lat = perf::lattice_info<L>();
-  return {"EP",
-          L::name(),
-          perf::ep_bytes_per_flup(lat),
-          perf::ep_bytes_per_flup(lat),
-          t.read_bytes_per_node,
-          t.write_bytes_per_node,
-          t.halo_read_fraction,
-          uniq};
-}
-
-template <class L>
-Row measure_mr(Pattern p) {
-  const Regularization reg = p == Pattern::kMRR ? Regularization::kRecursive
-                                                : Regularization::kProjective;
-  const MrConfig cfg = bench::default_mr_config(L::D);
-  Geometry geo = bench::periodic_geo(L::D == 2 ? 64 : 16, L::D == 2 ? 24 : 16,
-                                     L::D == 2 ? 1 : 8);
-  MrEngine<L> eng(geo, 0.8, reg, cfg);
-  const auto t = bench::measure_traffic<L>(eng);
-  MrEngine<L> eng2(geo, 0.8, reg, cfg);
-  const double uniq = bench::measure_unique_read_bytes_per_node<L>(eng2);
-  const auto lat = perf::lattice_info<L>();
-  return {perf::to_string(p),
-          L::name(),
-          perf::bytes_per_flup(p, lat),
-          perf::bytes_per_flup(p, lat),
-          t.read_bytes_per_node,
-          t.write_bytes_per_node,
-          t.halo_read_fraction,
-          uniq};
+  const double bpf = spec.pattern == EngineSpec::Pattern::kEP
+                         ? perf::ep_bytes_per_flup(lat)
+                         : perf::bytes_per_flup(spec.perf_pattern(), lat);
+  return {eng->pattern_name(), L::name(), bpf, bpf, t.read_bytes_per_node,
+          t.write_bytes_per_node, t.halo_read_fraction, uniq};
 }
 
 }  // namespace
@@ -93,12 +54,11 @@ Row measure_mr(Pattern p) {
 int main() {
   perf::print_banner("Table 2", "Bytes per fluid lattice update (B/F)");
 
-  const Row rows[] = {
-      measure_st<D2Q9>(),        measure_st<D3Q19>(),
-      measure_ep<D2Q9>(),        measure_ep<D3Q19>(),
-      measure_mr<D2Q9>(Pattern::kMRP),  measure_mr<D3Q19>(Pattern::kMRP),
-      measure_mr<D2Q9>(Pattern::kMRR),  measure_mr<D3Q19>(Pattern::kMRR),
-  };
+  std::vector<Row> rows;
+  for (const char* name : {"st", "ep", "mr-p", "mr-r"}) {
+    rows.push_back(measure<D2Q9>(name));
+    rows.push_back(measure<D3Q19>(name));
+  }
 
   AsciiTable t({"Pattern", "Lattice", "B/F paper", "B/F nominal",
                 "measured write B/node", "measured read B/node",

@@ -43,10 +43,12 @@ int main() {
                 {"model", "device", "lattice", "model_gbs", "peak_fraction",
                  "paper_gbs", "deviation_pct"});
 
-  auto add = [&](Pattern p, const gpusim::DeviceSpec& dev,
+  auto add = [&](const char* name, const gpusim::DeviceSpec& dev,
                  const perf::LatticeInfo& lat, double paper_gbs) {
-    const auto kc = lat.dim == 2 ? bench::characteristics<D2Q9>(p)
-                                 : bench::characteristics<D3Q19>(p);
+    const EngineSpec spec = EngineSpec::parse(name);
+    const Pattern p = spec.perf_pattern();
+    const auto kc = lat.dim == 2 ? kernel_characteristics<D2Q9>(spec)
+                                 : kernel_characteristics<D3Q19>(spec);
     const auto e = perf::estimate_saturated(dev, p, lat, kc);
     const double frac = e.achieved_bw_gbs / dev.bandwidth_gbs;
     t.row({perf::to_string(p), dev.name, lat.name,
@@ -62,14 +64,14 @@ int main() {
                                                 paper_gbs))});
   };
 
-  add(Pattern::kST, v100, d2q9, paper_st.v100_d2q9);
-  add(Pattern::kST, v100, d3q19, paper_st.v100_d3q19);
-  add(Pattern::kST, mi100, d2q9, paper_st.mi100_d2q9);
-  add(Pattern::kST, mi100, d3q19, paper_st.mi100_d3q19);
-  add(Pattern::kMRP, v100, d2q9, paper_mr.v100_d2q9);
-  add(Pattern::kMRP, v100, d3q19, paper_mr.v100_d3q19);
-  add(Pattern::kMRP, mi100, d2q9, paper_mr.mi100_d2q9);
-  add(Pattern::kMRP, mi100, d3q19, paper_mr.mi100_d3q19);
+  add("st", v100, d2q9, paper_st.v100_d2q9);
+  add("st", v100, d3q19, paper_st.v100_d3q19);
+  add("st", mi100, d2q9, paper_st.mi100_d2q9);
+  add("st", mi100, d3q19, paper_st.mi100_d3q19);
+  add("mr-p", v100, d2q9, paper_mr.v100_d2q9);
+  add("mr-p", v100, d3q19, paper_mr.v100_d3q19);
+  add("mr-p", mi100, d2q9, paper_mr.mi100_d2q9);
+  add("mr-p", mi100, d3q19, paper_mr.mi100_d3q19);
   t.print();
 
   std::printf(

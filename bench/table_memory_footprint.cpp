@@ -32,8 +32,8 @@ void verify_engine_allocations(AsciiTable& t) {
   AaEngine<L> aa(geo, 0.8);
   EpEngine<L> ep(geo, 0.8);
   MrEngine<L> mr_pp(geo, 0.8, Regularization::kProjective,
-                    bench::default_mr_config(L::D));
-  MrConfig cs_cfg = bench::default_mr_config(L::D);
+                    default_mr_config(L::D));
+  MrConfig cs_cfg = default_mr_config(L::D);
   cs_cfg.storage = MomentStorage::kCircularShift;
   MrEngine<L> mr_cs(geo, 0.8, Regularization::kProjective, cs_cfg);
 

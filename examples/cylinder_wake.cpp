@@ -4,9 +4,11 @@
 // for visualization.
 //
 //   ./examples/cylinder_wake [--d 12] [--re 20] [--umean 0.05]
-//                            [--steps 6000] [--pattern st|ep|mr-p|mr-r]
+//                            [--steps 6000] [--pattern SPEC (mr-p)]
 //                            [--precision fp64|fp32]
 //                            [--vtk wake.vtk] [--sanitize]
+//
+// SPEC is the engine spec grammar (README, "Engine specs").
 //
 // --sanitize runs the engine under the mlbm-sanitizer (docs/sanitizer.md)
 // and exits nonzero if any hazard is reported.
@@ -14,7 +16,7 @@
 #include <cstdio>
 
 #include "analysis/sanitizer/sanitizer.hpp"
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "io/vtk_writer.hpp"
 #include "util/cli.hpp"
 #include "workloads/cylinder_wake.hpp"
@@ -28,35 +30,16 @@ int main(int argc, char** argv) {
   const real_t re = cli.get_double("re", 20);
   const real_t umean = cli.get_double("umean", 0.05);
   const int steps = cli.get_int("steps", 6000, 1);
-  const auto prec = parse_precision(cli.get("precision", "fp64"));
-  if (!prec) {
-    std::fprintf(stderr, "error: --precision must be fp64 or fp32\n");
-    return 1;
-  }
+  const EngineSpec spec = spec_from_cli(cli, "mr-p");
 
   const auto wake = CylinderWake<D2Q9>::create(d, umean, re);
   std::printf(
       "cylinder_wake: %dx%d, D=%d nodes, Re=%.0f, u_mean=%.3f -> tau=%.4f, "
       "storage %s\n",
       wake.geo.box.nx, wake.geo.box.ny, d, re, umean, wake.tau,
-      to_string(*prec));
+      to_string(spec.precision));
 
-  const std::string pattern = cli.get("pattern", "mr-p");
-  std::unique_ptr<Engine<D2Q9>> eng_ptr;
-  if (pattern == "mr-r" || pattern == "mr-p") {
-    eng_ptr = make_mr_engine<D2Q9>(*prec, wake.geo, wake.tau,
-                                   pattern == "mr-r"
-                                       ? Regularization::kRecursive
-                                       : Regularization::kProjective,
-                                   MrConfig{16, 1, 4});
-  } else if (pattern == "st") {
-    eng_ptr = make_st_engine<D2Q9>(*prec, wake.geo, wake.tau);
-  } else if (pattern == "ep") {
-    eng_ptr = make_ep_engine<D2Q9>(*prec, wake.geo, wake.tau);
-  } else {
-    std::fprintf(stderr, "error: --pattern must be mr-r, mr-p, st or ep\n");
-    return 1;
-  }
+  const auto eng_ptr = make_engine<D2Q9>(spec, wake.geo, wake.tau);
   Engine<D2Q9>& eng = *eng_ptr;
   analysis::Sanitizer san;
   if (cli.has("sanitize")) eng.set_sanitizer(&san);

@@ -4,9 +4,11 @@
 // VTK output for visualization.
 //
 //   ./examples/lid_driven_cavity [--n 48] [--re 100] [--ulid 0.1]
-//                                [--steps 8000] [--pattern mr-r|mr-p|st|ep]
+//                                [--steps 8000] [--pattern SPEC (mr-r)]
 //                                [--precision fp64|fp32]
 //                                [--vtk cavity.vtk] [--sanitize]
+//
+// SPEC is the engine spec grammar (README, "Engine specs").
 //
 // --sanitize runs the engine under the mlbm-sanitizer (docs/sanitizer.md)
 // and exits nonzero if any hazard is reported.
@@ -14,7 +16,7 @@
 #include <cstdio>
 
 #include "analysis/sanitizer/sanitizer.hpp"
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "io/vtk_writer.hpp"
 #include "util/cli.hpp"
 #include "workloads/cavity.hpp"
@@ -27,11 +29,7 @@ int main(int argc, char** argv) {
   const real_t re = cli.get_double("re", 100);
   const real_t ulid = cli.get_double("ulid", 0.1);
   const int steps = cli.get_int("steps", 8000, 1);
-  const auto prec = parse_precision(cli.get("precision", "fp64"));
-  if (!prec) {
-    std::fprintf(stderr, "error: --precision must be fp64 or fp32\n");
-    return 1;
-  }
+  const EngineSpec spec = spec_from_cli(cli, "mr-r");
 
   // Choose tau from the requested Reynolds number: nu = ulid * n / Re.
   const real_t nu = ulid * n / re;
@@ -39,25 +37,10 @@ int main(int argc, char** argv) {
   std::printf(
       "lid_driven_cavity: %dx%d, Re=%.0f, u_lid=%.2f -> tau=%.4f, storage "
       "%s\n",
-      n, n, re, ulid, tau, to_string(*prec));
+      n, n, re, ulid, tau, to_string(spec.precision));
 
   const auto cav = LidDrivenCavity<D2Q9>::create(n, ulid);
-  const std::string pattern = cli.get("pattern", "mr-r");
-  std::unique_ptr<Engine<D2Q9>> eng_ptr;
-  if (pattern == "mr-r" || pattern == "mr-p") {
-    eng_ptr = make_mr_engine<D2Q9>(*prec, cav.geo, tau,
-                                   pattern == "mr-r"
-                                       ? Regularization::kRecursive
-                                       : Regularization::kProjective,
-                                   MrConfig{16, 1, 4});
-  } else if (pattern == "st") {
-    eng_ptr = make_st_engine<D2Q9>(*prec, cav.geo, tau);
-  } else if (pattern == "ep") {
-    eng_ptr = make_ep_engine<D2Q9>(*prec, cav.geo, tau);
-  } else {
-    std::fprintf(stderr, "error: --pattern must be mr-r, mr-p, st or ep\n");
-    return 1;
-  }
+  const auto eng_ptr = make_engine<D2Q9>(spec, cav.geo, tau);
   Engine<D2Q9>& eng = *eng_ptr;
   analysis::Sanitizer san;
   if (cli.has("sanitize")) eng.set_sanitizer(&san);

@@ -11,7 +11,8 @@
 //                         [--tau 0.8] [--umax 0.05] [--vtk out.vtk]
 //                         [--save state.ckpt] [--load state.ckpt]
 //
-// Patterns: st | st-push | aa | ep | mr-p | mr-r | ref
+// Patterns: the engine spec grammar (README, "Engine specs"), e.g. mr-p,
+// ep:fp32, mr-r:fp64:16x1x4
 // Workloads: channel | cavity | taylor-green | shear-layer
 // Lattices: d2q9 | d3q19 | d3q15 | d3q27
 #include <cstdio>
@@ -19,11 +20,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "engines/aa_engine.hpp"
-#include "engines/ep_engine.hpp"
-#include "engines/mr_engine.hpp"
-#include "engines/reference_engine.hpp"
-#include "engines/st_engine.hpp"
+#include "engines/engine_spec.hpp"
 #include "io/checkpoint.hpp"
 #include "io/vtk_writer.hpp"
 #include "multidev/multi_domain.hpp"
@@ -39,35 +36,8 @@ namespace {
 using namespace mlbm;
 
 template <class L>
-std::unique_ptr<Engine<L>> make_engine(const std::string& pattern,
-                                       Geometry geo, real_t tau) {
-  const MrConfig mr_cfg = L::D == 2 ? MrConfig{32, 1, 4} : MrConfig{8, 8, 1};
-  if (pattern == "st") return std::make_unique<StEngine<L>>(std::move(geo), tau);
-  if (pattern == "st-push") {
-    return std::make_unique<StEngine<L>>(std::move(geo), tau,
-                                         CollisionScheme::kBGK, 256,
-                                         StreamMode::kPush);
-  }
-  if (pattern == "aa") return std::make_unique<AaEngine<L>>(std::move(geo), tau);
-  if (pattern == "ep") return std::make_unique<EpEngine<L>>(std::move(geo), tau);
-  if (pattern == "mr-p") {
-    return std::make_unique<MrEngine<L>>(std::move(geo), tau,
-                                         Regularization::kProjective, mr_cfg);
-  }
-  if (pattern == "mr-r") {
-    return std::make_unique<MrEngine<L>>(std::move(geo), tau,
-                                         Regularization::kRecursive, mr_cfg);
-  }
-  if (pattern == "ref") {
-    return std::make_unique<ReferenceEngine<L>>(std::move(geo), tau,
-                                                CollisionScheme::kBGK);
-  }
-  throw std::invalid_argument("unknown --pattern " + pattern);
-}
-
-template <class L>
 int run(const Cli& cli) {
-  const std::string pattern = cli.get("pattern", "mr-p");
+  const EngineSpec spec = EngineSpec::parse(cli.get("pattern", "mr-p"));
   const std::string workload = cli.get("workload", "channel");
   const int nx = cli.get_int("nx", L::D == 2 ? 96 : 48, 1);
   const int ny = cli.get_int("ny", 32, 1);
@@ -109,20 +79,9 @@ int run(const Cli& cli) {
   }
 
   // Engine (optionally decomposed into slabs).
-  std::unique_ptr<Engine<L>> eng;
-  if (devices > 1) {
-    // In-place engines scatter one plane past the node they execute on, so
-    // their slabs need depth-2 ghosts (see SlabInfo::ghost_depth).
-    const int ghost_depth = (pattern == "aa" || pattern == "ep") ? 2 : 1;
-    eng = std::make_unique<MultiDomainEngine<L>>(
-        geo, tau, devices,
-        [&](Geometry g, int) {
-          return make_engine<L>(pattern, std::move(g), tau);
-        },
-        ghost_depth);
-  } else {
-    eng = make_engine<L>(pattern, geo, tau);
-  }
+  const std::unique_ptr<Engine<L>> eng =
+      devices > 1 ? make_multi_engine<L>(spec, geo, tau, devices)
+                  : make_engine<L>(spec, geo, tau);
   attach(*eng);
 
   if (cli.has("load")) load_checkpoint(*eng, cli.get("load", ""));

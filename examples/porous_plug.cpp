@@ -5,9 +5,11 @@
 //
 //   ./examples/porous_plug [--nx 96] [--ny 32] [--nz 1] [--tau 0.8]
 //                          [--uin 0.02] [--solid 0.3] [--seed 11]
-//                          [--steps 3000] [--pattern st|ep|mr-p|mr-r]
+//                          [--steps 3000] [--pattern SPEC (mr-p)]
 //                          [--precision fp64|fp32] [--lattice d2q9|d3q19]
 //                          [--vtk plug.vtk] [--sanitize]
+//
+// SPEC is the engine spec grammar (README, "Engine specs").
 //
 // --sanitize runs the engine under the mlbm-sanitizer (docs/sanitizer.md)
 // and exits nonzero if any hazard is reported.
@@ -15,7 +17,7 @@
 #include <cstdio>
 
 #include "analysis/sanitizer/sanitizer.hpp"
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "io/vtk_writer.hpp"
 #include "util/cli.hpp"
 #include "workloads/porous_plug.hpp"
@@ -34,35 +36,16 @@ int run(const Cli& cli) {
   const double solid = cli.get_double("solid", 0.3);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11, 0));
   const int steps = cli.get_int("steps", 3000, 1);
-  const auto prec = parse_precision(cli.get("precision", "fp64"));
-  if (!prec) {
-    std::fprintf(stderr, "error: --precision must be fp64 or fp32\n");
-    return 1;
-  }
+  const EngineSpec spec = spec_from_cli(cli, "mr-p");
 
   const auto plug = PorousPlug<L>::create(nx, ny, nz, tau, uin, solid, seed);
   std::printf(
       "porous_plug: %s %dx%dx%d, tau=%.3f, u_in=%.3f, solid fraction %.2f "
       "(fluid fraction seen: %.3f), storage %s\n",
       L::name(), nx, ny, nz, tau, uin, solid, plug.fluid_fraction,
-      to_string(*prec));
+      to_string(spec.precision));
 
-  const std::string pattern = cli.get("pattern", "mr-p");
-  std::unique_ptr<Engine<L>> eng_ptr;
-  if (pattern == "mr-r" || pattern == "mr-p") {
-    eng_ptr = make_mr_engine<L>(*prec, plug.geo, tau,
-                                pattern == "mr-r" ? Regularization::kRecursive
-                                                  : Regularization::kProjective,
-                                L::D == 2 ? MrConfig{16, 1, 4}
-                                          : MrConfig{8, 8, 1});
-  } else if (pattern == "st") {
-    eng_ptr = make_st_engine<L>(*prec, plug.geo, tau);
-  } else if (pattern == "ep") {
-    eng_ptr = make_ep_engine<L>(*prec, plug.geo, tau);
-  } else {
-    std::fprintf(stderr, "error: --pattern must be mr-r, mr-p, st or ep\n");
-    return 1;
-  }
+  const auto eng_ptr = make_engine<L>(spec, plug.geo, tau);
   Engine<L>& eng = *eng_ptr;
   analysis::Sanitizer san;
   if (cli.has("sanitize")) eng.set_sanitizer(&san);

@@ -13,8 +13,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "engines/mr_engine.hpp"
-#include "engines/st_engine.hpp"
+#include "engines/engine_spec.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workloads/shear_layer.hpp"
@@ -23,33 +22,10 @@ namespace {
 
 using namespace mlbm;
 
-enum class Scheme { kBGK, kMRP, kMRR };
-
-const char* name(Scheme s) {
-  switch (s) {
-    case Scheme::kBGK: return "ST (BGK)";
-    case Scheme::kMRP: return "MR-P (projective)";
-    case Scheme::kMRR: return "MR-R (recursive)";
-  }
-  return "?";
-}
-
-bool survives(Scheme s, int n, real_t u0, real_t tau, int steps) {
+bool survives(const EngineSpec& spec, int n, real_t u0, real_t tau,
+              int steps) {
   const auto tg = DoubleShearLayer<D2Q9>::create(n, u0);
-  std::unique_ptr<Engine<D2Q9>> eng;
-  switch (s) {
-    case Scheme::kBGK:
-      eng = std::make_unique<StEngine<D2Q9>>(tg.geo, tau);
-      break;
-    case Scheme::kMRP:
-      eng = std::make_unique<MrEngine<D2Q9>>(
-          tg.geo, tau, Regularization::kProjective, MrConfig{16, 1, 4});
-      break;
-    case Scheme::kMRR:
-      eng = std::make_unique<MrEngine<D2Q9>>(
-          tg.geo, tau, Regularization::kRecursive, MrConfig{16, 1, 4});
-      break;
-  }
+  const auto eng = make_engine<D2Q9>(spec, tg.geo, tau);
   tg.attach(*eng);
   if (eng->profiler() != nullptr) {
     eng->profiler()->counter().set_enabled(false);
@@ -77,18 +53,20 @@ int main(int argc, char** argv) {
               n, n, u0, steps);
 
   AsciiTable t({"scheme", "min stable tau", "max stable Re (=u0*n/nu)"});
-  for (const Scheme s : {Scheme::kBGK, Scheme::kMRP, Scheme::kMRR}) {
+  // ST runs BGK; MR-P and MR-R are the projective and recursive schemes.
+  for (const char* name : {"st", "mr-p", "mr-r"}) {
+    const EngineSpec spec = EngineSpec::parse(name);
     real_t lo = 0.5, hi = 1.0;  // lo unstable (tau->1/2), hi assumed stable
-    if (!survives(s, n, u0, hi, steps)) {
-      t.row({name(s), "> 1.0", "-"});
+    if (!survives(spec, n, u0, hi, steps)) {
+      t.row({name, "> 1.0", "-"});
       continue;
     }
     for (int it = 0; it < 10; ++it) {
       const real_t mid = (lo + hi) / 2;
-      (survives(s, n, u0, mid, steps) ? hi : lo) = mid;
+      (survives(spec, n, u0, mid, steps) ? hi : lo) = mid;
     }
     const real_t nu = D2Q9::cs2 * (hi - real_t(0.5));
-    t.row({name(s), AsciiTable::num(hi, 4),
+    t.row({name, AsciiTable::num(hi, 4),
            AsciiTable::num(u0 * n / nu, 0)});
   }
   t.print();

@@ -3,9 +3,11 @@
 // series to CSV for plotting.
 //
 //   ./examples/taylor_green [--n 48] [--tau 0.8] [--u0 0.03] [--steps 400]
-//                           [--pattern all|st|ep|mr-p|mr-r]
-//                           [--precision fp64|fp32] [--csv decay.csv]
-//                           [--sanitize]
+//                           [--pattern all|SPEC] [--precision fp64|fp32]
+//                           [--csv decay.csv] [--sanitize]
+//
+// SPEC is the engine spec grammar (README, "Engine specs"); `all` runs every
+// pattern at the chosen precision.
 //
 // --sanitize runs every engine under the mlbm-sanitizer (racecheck /
 // memcheck / initcheck / freshness / synccheck; docs/sanitizer.md) and exits
@@ -16,7 +18,7 @@
 #include <vector>
 
 #include "analysis/sanitizer/sanitizer.hpp"
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "workloads/analytic.hpp"
@@ -30,44 +32,29 @@ int main(int argc, char** argv) {
   const real_t tau = cli.get_double("tau", 0.8);
   const real_t u0 = cli.get_double("u0", 0.03);
   const int steps = cli.get_int("steps", 400, 1);
-  const auto prec = parse_precision(cli.get("precision", "fp64"));
-  if (!prec) {
-    std::fprintf(stderr, "error: --precision must be fp64 or fp32\n");
-    return 1;
-  }
   const bool sanitize = cli.has("sanitize");
   const int sample_every = std::max(1, steps / 20);
 
   const auto tg = TaylorGreen<D2Q9>::create(n, u0);
 
-  const MrConfig cfg{16, 1, 4};
-  const std::string pattern = cli.get("pattern", "all");
+  std::vector<EngineSpec> specs;
+  if (cli.get("pattern", "all") == "all") {
+    const StoragePrecision prec =
+        EngineSpec::parse("st:" + cli.get("precision", "fp64")).precision;
+    for (const EngineSpec& s : EngineSpec::all()) {
+      if (s.precision == prec) specs.push_back(s);
+    }
+  } else {
+    specs.push_back(spec_from_cli(cli, "all"));
+  }
   std::vector<std::unique_ptr<Engine<D2Q9>>> owned;
-  if (pattern == "all" || pattern == "st") {
-    owned.push_back(make_st_engine<D2Q9>(*prec, tg.geo, tau));
+  for (const EngineSpec& s : specs) {
+    owned.push_back(make_engine<D2Q9>(s, tg.geo, tau));
   }
-  if (pattern == "all" || pattern == "ep") {
-    owned.push_back(make_ep_engine<D2Q9>(*prec, tg.geo, tau));
-  }
-  if (pattern == "all" || pattern == "mr-p") {
-    owned.push_back(make_mr_engine<D2Q9>(*prec, tg.geo, tau,
-                                         Regularization::kProjective, cfg));
-  }
-  if (pattern == "all" || pattern == "mr-r") {
-    owned.push_back(make_mr_engine<D2Q9>(*prec, tg.geo, tau,
-                                         Regularization::kRecursive, cfg));
-  }
-  if (owned.empty()) {
-    std::fprintf(stderr,
-                 "error: --pattern must be all, st, ep, mr-p or mr-r\n");
-    return 1;
-  }
-  std::vector<Engine<D2Q9>*> engines;
-  for (const auto& e : owned) engines.push_back(e.get());
 
   const real_t nu = D2Q9::cs2 * (tau - real_t(0.5));
   std::printf("taylor_green: %dx%d, tau=%.3f (nu=%.4f), u0=%.3f, storage %s\n\n",
-              n, n, tau, nu, u0, to_string(*prec));
+              n, n, tau, nu, u0, to_string(specs.front().precision));
 
   std::unique_ptr<CsvWriter> csv;
   if (cli.has("csv")) {
@@ -77,7 +64,7 @@ int main(int argc, char** argv) {
   }
 
   int hazard_total = 0;
-  for (Engine<D2Q9>* e : engines) {
+  for (const auto& e : owned) {
     analysis::Sanitizer san;
     if (sanitize) e->set_sanitizer(&san);
     tg.attach(*e);

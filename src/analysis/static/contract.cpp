@@ -260,9 +260,10 @@ std::vector<std::string> applicable_mutations(const EngineContract& c) {
     out.emplace_back("shrunk-cross-halo");
     out.emplace_back("shrunk-shared-ring");
   }
-  // Both in-place patterns expose an odd-parity gather whose offset sign is
-  // load-bearing for the reader == writer invariant.
-  if (c.pattern == "ST-AA" || c.pattern == "EP") {
+  // Both in-place patterns (the two-phase contracts) expose an odd-parity
+  // gather whose offset sign is load-bearing for the reader == writer
+  // invariant.
+  if (c.steps_per_cycle == 2) {
     out.emplace_back("skewed-inplace-gather");
   }
   return out;

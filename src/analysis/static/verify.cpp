@@ -7,6 +7,7 @@
 
 #include "analysis/static/analyzer.hpp"
 #include "analysis/static/traffic.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/factory.hpp"
 #include "perfmodel/roofline.hpp"
 
@@ -163,53 +164,27 @@ constexpr real_t kTau = real_t(0.6);
 
 template <class L>
 void run_lattice(const VerifyOptions& opt, VerifyReport& rep) {
+  using Pattern = EngineSpec::Pattern;
   const auto lat = perf::lattice_info<L>();
-  for (const StoragePrecision prec :
-       {StoragePrecision::kFP64, StoragePrecision::kFP32}) {
-    const double e = perf::elem_bytes_of(prec);
-    const std::string suffix =
-        std::string(" ") + L::name() + " " + to_string(prec);
-    {
-      auto eng = make_st_engine<L>(prec, probe_geometry(L::D), kTau);
-      run_probe(*eng, "ST" + suffix,
-                perf::bytes_per_flup(perf::Pattern::kST, lat, e), opt, rep);
-    }
-    {
-      auto eng = make_st_engine<L>(prec, probe_geometry(L::D), kTau,
-                                   CollisionScheme::kBGK, 256,
-                                   StreamMode::kPush);
-      run_probe(*eng, "ST-push" + suffix,
-                perf::bytes_per_flup(perf::Pattern::kST, lat, e), opt, rep);
-    }
-    {
-      auto eng = make_aa_engine<L>(prec, probe_geometry(L::D), kTau);
-      run_probe(*eng, "AA" + suffix, perf::aa_bytes_per_flup(lat, e), opt,
-                rep);
-    }
-    {
-      auto eng = make_ep_engine<L>(prec, probe_geometry(L::D), kTau);
-      run_probe(*eng, "EP" + suffix, perf::ep_bytes_per_flup(lat, e), opt,
-                rep);
-    }
-    {
-      auto eng = make_mr_engine<L>(prec, probe_geometry(L::D), kTau,
-                                   Regularization::kProjective);
-      run_probe(*eng, "MR-P" + suffix,
-                perf::bytes_per_flup(perf::Pattern::kMRP, lat, e), opt, rep);
-    }
-    {
-      MrConfig cfg;
+  for (EngineSpec spec : EngineSpec::all()) {
+    if (spec.pattern == Pattern::kRef) continue;  // host engine, no contract
+    if (spec.is_mr()) spec.tile = EngineSpec::Tile{32, 8, 1};  // MrConfig{}
+    const double e = perf::elem_bytes_of(spec.precision);
+    const double model_bpf =
+        spec.pattern == Pattern::kAA   ? perf::aa_bytes_per_flup(lat, e)
+        : spec.pattern == Pattern::kEP ? perf::ep_bytes_per_flup(lat, e)
+                                       : perf::bytes_per_flup(
+                                             spec.perf_pattern(), lat, e);
+    const std::string config = spec.to_string() + " " + L::name();
+    run_probe(*make_engine<L>(spec, probe_geometry(L::D), kTau), config,
+              model_bpf, opt, rep);
+    if (spec.pattern == Pattern::kMRP) {
+      // Single-buffer moment storage is an MrConfig option, not a spec field.
+      MrConfig cfg = spec.mr_config(L::D);
       cfg.storage = MomentStorage::kCircularShift;
-      auto eng = make_mr_engine<L>(prec, probe_geometry(L::D), kTau,
-                                   Regularization::kProjective, cfg);
-      run_probe(*eng, "MR-P/circ" + suffix,
-                perf::bytes_per_flup(perf::Pattern::kMRP, lat, e), opt, rep);
-    }
-    {
-      auto eng = make_mr_engine<L>(prec, probe_geometry(L::D), kTau,
-                                   Regularization::kRecursive);
-      run_probe(*eng, "MR-R" + suffix,
-                perf::bytes_per_flup(perf::Pattern::kMRR, lat, e), opt, rep);
+      run_probe(*make_mr_engine<L>(spec.precision, probe_geometry(L::D), kTau,
+                                   Regularization::kProjective, cfg),
+                config + "/circ", model_bpf, opt, rep);
     }
   }
 }

@@ -39,8 +39,12 @@ class AaEngine final : public DistEngine<L, ST, AaAddressing> {
            bool allow_open_faces = false)
       : Base(std::move(geo), tau, scheme, threads_per_block, exec,
              AaAddressing{}) {
-    if (allow_open_faces) return;
-    for (const auto& axis : this->geometry().bc.face) {
+    if (!allow_open_faces) reject_open_faces(this->geometry());
+  }
+
+  /// Throws ConfigError if `geo` has an open (inlet/outlet) face.
+  static void reject_open_faces(const Geometry& geo) {
+    for (const auto& axis : geo.bc.face) {
       for (const FaceSpec& face : axis) {
         if (face.type == FaceBC::kOpen) {
           throw ConfigError(

@@ -3,9 +3,8 @@
 #include <array>
 #include <limits>
 
-#include "engines/mr_engine.hpp"
+#include "perfmodel/efficiency.hpp"
 #include "perfmodel/mflups_model.hpp"
-#include "perfmodel/opcount.hpp"
 #include "perfmodel/roofline.hpp"
 #include "util/error.hpp"
 
@@ -13,57 +12,20 @@ namespace mlbm::fleet {
 
 namespace {
 
-/// Kernel characteristics of the fleet's job patterns, measured once per
-/// pattern from a tiny instrumented engine (the MR block geometry and halo
-/// fraction are properties of the kernel, not the problem size). Matches the
-/// MrConfig make_job_engine uses.
+/// Kernel characteristics of the fleet's job patterns at the fleet's MR
+/// tile, measured once per perf::Pattern (the MR block geometry and halo
+/// fraction are properties of the kernel, not the problem size).
 const perf::KernelCharacteristics& pattern_characteristics(
     perf::Pattern pattern) {
-  static const std::array<perf::KernelCharacteristics, 3> kTable = [] {
-    std::array<perf::KernelCharacteristics, 3> table{};
-
-    perf::KernelCharacteristics st;
-    st.threads_per_block = 256;
-    st.shared_bytes_per_block = 0;
-    st.flops_per_flup = perf::flops_per_flup<D2Q9>(perf::Pattern::kST);
-    table[0] = st;
-
-    for (const perf::Pattern p : {perf::Pattern::kMRP, perf::Pattern::kMRR}) {
-      MrConfig cfg;
-      cfg.tile_x = 8;
-      Geometry geo(Box{cfg.tile_x * 2, cfg.tile_s * 4 + 4, 1});
-      geo.bc.set_axis(0, FaceBC::kPeriodic);
-      geo.bc.set_axis(1, FaceBC::kPeriodic);
-      geo.bc.set_axis(2, FaceBC::kPeriodic);
-      const Regularization reg = p == perf::Pattern::kMRR
-                                     ? Regularization::kRecursive
-                                     : Regularization::kProjective;
-      MrEngine<D2Q9> eng(geo, 0.8, reg, cfg);
-      eng.initialize(
-          [](int, int, int) { return equilibrium_moments<D2Q9>(1.0, {}); });
-      eng.step();  // exclude warm-up
-      const auto before = eng.profiler()->total_traffic();
-      eng.run(3);
-      const auto traffic = eng.profiler()->total_traffic() - before;
-      const double nodes = static_cast<double>(geo.box.cells()) * 3;
-      const double writes = static_cast<double>(traffic.bytes_written) / nodes;
-      const double reads = static_cast<double>(traffic.bytes_read) / nodes;
-
-      perf::KernelCharacteristics kc;
-      kc.threads_per_block = eng.threads_per_block();
-      kc.shared_bytes_per_block = eng.shared_bytes_per_block();
-      kc.flops_per_flup = perf::flops_per_flup<D2Q9>(p);
-      kc.halo_read_fraction = writes > 0 ? reads / writes - 1.0 : 0.0;
-      table[p == perf::Pattern::kMRP ? 1 : 2] = kc;
-    }
-    return table;
-  }();
-  switch (pattern) {
-    case perf::Pattern::kST: return kTable[0];
-    case perf::Pattern::kMRP: return kTable[1];
-    case perf::Pattern::kMRR: return kTable[2];
-  }
-  return kTable[0];
+  using P = EngineSpec::Pattern;
+  static const std::array<perf::KernelCharacteristics, 3> kTable = {
+      kernel_characteristics<D2Q9>(EngineSpec{}),
+      kernel_characteristics<D2Q9>({P::kMRP, StoragePrecision::kFP64,
+                                    kJobMrTile}),
+      kernel_characteristics<D2Q9>({P::kMRR, StoragePrecision::kFP64,
+                                    kJobMrTile}),
+  };
+  return kTable[static_cast<std::size_t>(pattern)];
 }
 
 }  // namespace
@@ -109,7 +71,8 @@ double DevicePool::predicted_mflups(int id, perf::Pattern pattern,
 
 double DevicePool::step_seconds(int id, const JobSpec& spec,
                                 long long cells) const {
-  const double mflups = predicted_mflups(id, spec.pattern, spec.precision);
+  const double mflups = predicted_mflups(id, spec.engine.perf_pattern(),
+                                         spec.engine.precision);
   if (mflups <= 0) {
     return std::numeric_limits<double>::infinity();
   }

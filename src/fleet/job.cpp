@@ -3,8 +3,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "core/regularization.hpp"
-#include "engines/factory.hpp"
 #include "util/error.hpp"
 #include "workloads/cavity.hpp"
 #include "workloads/cylinder_wake.hpp"
@@ -14,29 +12,10 @@ namespace mlbm::fleet {
 
 std::string JobSpec::name() const {
   std::ostringstream os;
-  os << "job" << id << ":" << to_string(workload) << "-"
-     << perf::to_string(pattern) << "-" << to_string(precision) << "-n" << n;
+  os << "job" << id << ":" << to_string(workload) << "-" << engine.to_string()
+     << "-n" << n;
   return os.str();
 }
-
-namespace {
-
-std::unique_ptr<Engine<D2Q9>> build_engine(const JobSpec& spec, Geometry geo,
-                                           real_t tau) {
-  if (spec.pattern == perf::Pattern::kST) {
-    return make_st_engine<D2Q9>(spec.precision, std::move(geo), tau);
-  }
-  const Regularization reg = spec.pattern == perf::Pattern::kMRP
-                                 ? Regularization::kProjective
-                                 : Regularization::kRecursive;
-  // Small-domain sweep jobs: a modest tile keeps the MR sweep's working set
-  // matched to the job size instead of the production default.
-  MrConfig config;
-  config.tile_x = 8;
-  return make_mr_engine<D2Q9>(spec.precision, std::move(geo), tau, reg, config);
-}
-
-}  // namespace
 
 std::unique_ptr<Engine<D2Q9>> make_job_engine(const JobSpec& spec) {
   if (spec.n < 4) {
@@ -47,18 +26,21 @@ std::unique_ptr<Engine<D2Q9>> make_job_engine(const JobSpec& spec) {
     throw ConfigError("fleet job " + std::to_string(spec.id) +
                       ": steps must be positive");
   }
+  EngineSpec engine = spec.engine;
+  if (engine.is_mr() && !engine.tile) engine.tile = kJobMrTile;
+  const auto tau = static_cast<real_t>(spec.tau);
   switch (spec.workload) {
     case Workload::kTaylorGreen: {
       const auto tg =
           TaylorGreen<D2Q9>::create(spec.n, static_cast<real_t>(spec.amplitude));
-      auto eng = build_engine(spec, tg.geo, static_cast<real_t>(spec.tau));
+      auto eng = make_engine<D2Q9>(engine, tg.geo, tau);
       tg.attach(*eng);
       return eng;
     }
     case Workload::kCavity: {
       const auto cav = LidDrivenCavity<D2Q9>::create(
           spec.n, static_cast<real_t>(spec.amplitude));
-      auto eng = build_engine(spec, cav.geo, static_cast<real_t>(spec.tau));
+      auto eng = make_engine<D2Q9>(engine, cav.geo, tau);
       cav.attach(*eng);
       return eng;
     }
@@ -69,7 +51,7 @@ std::unique_ptr<Engine<D2Q9>> make_job_engine(const JobSpec& spec) {
       // The wake prescribes its own tau from the Reynolds number; the
       // boundary pass it registers captures its state by shared_ptr, so the
       // engine stays valid after `wake` goes out of scope.
-      auto eng = build_engine(spec, wake.geo, wake.tau);
+      auto eng = make_engine<D2Q9>(engine, wake.geo, wake.tau);
       wake.attach(*eng);
       return eng;
     }

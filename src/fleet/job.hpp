@@ -1,8 +1,8 @@
 // Fleet jobs: one independent parameter-sweep simulation each.
 //
 // A JobSpec is everything needed to (re)build a job's engine from scratch —
-// workload, propagation pattern, storage precision, resolution, physics
-// parameters. Rebuildability is the point: checkpoint-based migration
+// workload, engine spec (pattern, storage precision, MR tile), resolution,
+// physics parameters. Rebuildability is the point: checkpoint-based migration
 // re-creates the engine on a surviving device through the same factories and
 // restores the raw-state snapshot, so a migrated job's trajectory is
 // bit-identical to one that never moved.
@@ -19,8 +19,7 @@
 #include <string>
 
 #include "engines/engine.hpp"
-#include "perfmodel/pattern.hpp"
-#include "util/precision.hpp"
+#include "engines/engine_spec.hpp"
 
 namespace mlbm::fleet {
 
@@ -35,11 +34,16 @@ inline const char* to_string(Workload w) {
   return "unknown";
 }
 
+/// MR tile of jobs whose spec names none: a modest tile keeps the MR sweep's
+/// working set matched to the small job domains instead of the production
+/// default.
+inline constexpr EngineSpec::Tile kJobMrTile{8, 8, 1};
+
 struct JobSpec {
   int id = -1;  ///< assigned by FleetScheduler::submit
   Workload workload = Workload::kTaylorGreen;
-  perf::Pattern pattern = perf::Pattern::kST;
-  StoragePrecision precision = StoragePrecision::kFP64;
+  /// An MR spec without a tile runs kJobMrTile.
+  EngineSpec engine;
   /// Nodes per axis (Taylor-Green / cavity) or cylinder diameter in nodes.
   int n = 24;
   int steps = 64;
@@ -51,7 +55,7 @@ struct JobSpec {
   [[nodiscard]] std::string name() const;
 };
 
-/// Builds the job's engine through the runtime-precision factories and
+/// Builds the job's engine through make_engine() and
 /// attaches its workload (initialization + post-step boundary pass). The
 /// returned engine is self-contained: the workload object does not outlive
 /// the call (boundary passes capture their state by value / shared_ptr).

@@ -1,17 +1,19 @@
-// Factory dispatch matrix: every (pattern x storage precision x execution
-// mode) combination the runtime-precision factories can produce must
-// construct, advance, and survive a raw-state checkpoint round trip. This is
-// the CLI surface's contract — what `--pattern X --precision Y` plus
-// MLBM_EXEC can select must all be live code paths, not just the defaults
-// the physics tests happen to exercise.
+// Factory dispatch matrix: every engine spec (EngineSpec::all(), pattern x
+// storage precision) x execution mode must construct, advance, and survive a
+// raw-state checkpoint round trip. This is the CLI surface's contract — what
+// `--pattern X --precision Y` plus MLBM_EXEC can select must all be live code
+// paths, not just the defaults the physics tests happen to exercise. The
+// spec grammar itself must round-trip and reject bad input with a typed
+// error that names the valid tokens.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "engines/factory.hpp"
+#include "engines/engine_spec.hpp"
 #include "resilience/snapshot.hpp"
 #include "workloads/taylor_green.hpp"
 
@@ -45,33 +47,18 @@ typename Engine<L>::InitFn smooth_init() {
 }
 
 template <class L>
-std::unique_ptr<Engine<L>> build(const std::string& pattern,
-                                 StoragePrecision prec, ExecMode exec) {
-  Geometry geo = periodic_geo<L>();
-  if (pattern == "st") {
-    return make_st_engine<L>(prec, std::move(geo), kTau, CollisionScheme::kBGK,
-                             256, StreamMode::kPull, exec);
-  }
-  if (pattern == "aa") {
-    return make_aa_engine<L>(prec, std::move(geo), kTau, CollisionScheme::kBGK,
-                             256, exec);
-  }
-  if (pattern == "ep") {
-    return make_ep_engine<L>(prec, std::move(geo), kTau, CollisionScheme::kBGK,
-                             256, exec);
-  }
-  return make_mr_engine<L>(prec, std::move(geo), kTau,
-                           Regularization::kProjective, {}, exec);
+std::unique_ptr<Engine<L>> build(std::string_view spec, ExecMode exec) {
+  return make_engine<L>(EngineSpec::parse(spec), periodic_geo<L>(), kTau,
+                        exec);
 }
 
 /// Construct, step once, checkpoint, diverge, restore, replay: the replayed
 /// window must reproduce the recorded trajectory exactly (raw-path restore).
 template <class L>
-void construct_step_roundtrip(const std::string& pattern,
-                              StoragePrecision prec, ExecMode exec) {
-  SCOPED_TRACE(pattern + " " + to_string(prec) + " " + to_string(exec) + " " +
-               L::name());
-  auto eng = build<L>(pattern, prec, exec);
+void construct_step_roundtrip(const EngineSpec& spec, ExecMode exec) {
+  const std::string pattern = spec.to_string();
+  SCOPED_TRACE(pattern + " " + to_string(exec) + " " + L::name());
+  auto eng = make_engine<L>(spec, periodic_geo<L>(), kTau, exec);
   ASSERT_NE(eng, nullptr);
   eng->initialize(smooth_init<L>());
   eng->step();
@@ -81,7 +68,7 @@ void construct_step_roundtrip(const std::string& pattern,
   // The distribution engines all serialize raw device state; MR restores
   // through its native moment payload instead (see snapshot.hpp).
   const bool raw = !snap.raw_tag.empty();
-  if (pattern != "mr") {
+  if (!spec.is_mr()) {
     ASSERT_TRUE(raw) << pattern << " lost raw-state serialization";
   }
   eng->run(2);
@@ -110,7 +97,8 @@ void construct_step_roundtrip(const std::string& pattern,
                       want[k].u[static_cast<std::size_t>(c)]);
           }
         } else {
-          const double tol = prec == StoragePrecision::kFP32 ? 1e-5 : 1e-12;
+          const double tol =
+              spec.precision == StoragePrecision::kFP32 ? 1e-5 : 1e-12;
           ASSERT_NEAR(got.rho, want[k].rho, tol)
               << "at " << x << "," << y << "," << z;
           for (int c = 0; c < L::D; ++c) {
@@ -126,12 +114,9 @@ void construct_step_roundtrip(const std::string& pattern,
 
 template <class L>
 void full_matrix() {
-  for (const char* pattern : {"st", "aa", "ep", "mr"}) {
-    for (const StoragePrecision prec :
-         {StoragePrecision::kFP64, StoragePrecision::kFP32}) {
-      for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
-        construct_step_roundtrip<L>(pattern, prec, exec);
-      }
+  for (const EngineSpec& spec : EngineSpec::all()) {
+    for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+      construct_step_roundtrip<L>(spec, exec);
     }
   }
 }
@@ -145,15 +130,41 @@ TEST(FactoryMatrix, AllPatternPrecisionExecCombinationsD3Q19) {
 }
 
 TEST(FactoryMatrix, PatternNamesFollowTheFactories) {
-  EXPECT_STREQ(build<D2Q9>("st", StoragePrecision::kFP64, ExecMode::kScalar)
-                   ->pattern_name(),
-               "ST");
-  EXPECT_STREQ(build<D2Q9>("aa", StoragePrecision::kFP32, ExecMode::kScalar)
-                   ->pattern_name(),
+  EXPECT_STREQ(build<D2Q9>("st", ExecMode::kScalar)->pattern_name(), "ST");
+  EXPECT_STREQ(build<D2Q9>("aa:fp32", ExecMode::kScalar)->pattern_name(),
                "ST-AA");
-  EXPECT_STREQ(build<D2Q9>("ep", StoragePrecision::kFP32, ExecMode::kLanes)
-                   ->pattern_name(),
+  EXPECT_STREQ(build<D2Q9>("ep:fp32", ExecMode::kLanes)->pattern_name(),
                "EP");
+}
+
+TEST(FactoryMatrix, SpecGrammarRoundTrips) {
+  std::vector<EngineSpec> specs = EngineSpec::all();
+  specs.push_back(EngineSpec::parse("mr-r:fp64:16x1x4"));
+  for (const EngineSpec& spec : specs) {
+    EXPECT_EQ(EngineSpec::parse(spec.to_string()), spec) << spec.to_string();
+  }
+  EXPECT_EQ(specs.back().to_string(), "mr-r:fp64:16x1x4");
+  EXPECT_EQ(EngineSpec::parse("ep:fp32").to_string(), "ep:fp32");
+  EXPECT_EQ(EngineSpec::parse("mr-p:fp64").to_string(), "mr-p");
+  EXPECT_EQ(EngineSpec::parse("aa").ghost_depth(), 2);
+  EXPECT_EQ(EngineSpec::parse("ep").perf_pattern(), perf::Pattern::kST);
+}
+
+TEST(FactoryMatrix, SpecGrammarRejectsWithTheValidTokens) {
+  for (const char* bad :
+       {"bogus", "ep:fp16", "mr-p:fp64:0x1x1", "ref:fp32", "st:fp64:8x8x1",
+        "mr-p:fp64:8x8", "mr-p:fp64:1x1x1:x", ""}) {
+    try {
+      (void)EngineSpec::parse(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const ConfigError& e) {
+      const std::string msg = e.what();
+      for (const char* token : {"st-push", "aa", "ep", "mr-p", "mr-r", "ref",
+                                "fp64", "fp32", "XxYxS"}) {
+        EXPECT_NE(msg.find(token), std::string::npos) << bad << ": " << msg;
+      }
+    }
+  }
 }
 
 }  // namespace

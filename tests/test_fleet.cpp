@@ -88,13 +88,13 @@ TEST(DevicePool, AdmissionIsTheFootprintCheck) {
 TEST(DevicePool, PredictsThroughputFromThePerfModel) {
   DevicePool pool;
   pool.add_device(gpusim::DeviceSpec::v100());
-  for (perf::Pattern p :
-       {perf::Pattern::kST, perf::Pattern::kMRP, perf::Pattern::kMRR}) {
+  for (const EngineSpec& e : EngineSpec::all()) {
+    const perf::Pattern p = e.perf_pattern();
     const double mflups =
         pool.predicted_mflups(0, p, StoragePrecision::kFP64);
     EXPECT_GT(mflups, 0) << "pattern " << static_cast<int>(p);
     JobSpec spec = small_job();
-    spec.pattern = p;
+    spec.engine = e;
     const double s = pool.step_seconds(0, spec, 16 * 16);
     EXPECT_GT(s, 0);
   }
@@ -164,11 +164,16 @@ TEST(FleetScheduler, FaultFreeFleetMatchesBareEngines) {
   FleetConfig cfg;
   cfg.quantum_steps = 16;
   FleetScheduler sched(two_v100s(), cfg);
-  const std::vector<JobSpec> specs = {
+  std::vector<JobSpec> specs = {
       small_job(Workload::kTaylorGreen, 16, 48),
       small_job(Workload::kCavity, 16, 48),
       small_job(Workload::kCylinder, 12, 40),
+      small_job(Workload::kCavity, 16, 48),
+      small_job(Workload::kTaylorGreen, 16, 48),
   };
+  // The in-place patterns ride the same drain.
+  specs[3].engine = EngineSpec::parse("aa");
+  specs[4].engine = EngineSpec::parse("ep");
   for (const JobSpec& s : specs) sched.submit(s);
   const FleetReport rep = sched.run();
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 
+#include "engines/engine_spec.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/reference_engine.hpp"
 #include "engines/st_engine.hpp"
@@ -90,11 +91,9 @@ TEST_P(MultiDevEquivalence, DecomposedMrMatchesMonolithicExactly2D) {
   MrEngine<D2Q9> mono(ch.geo, tau, Regularization::kProjective, {8, 1, 2});
   ch.attach(mono);
 
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, tau, ndev, [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return std::make_unique<MrEngine<D2Q9>>(
-            std::move(g), tau, Regularization::kProjective, MrConfig{8, 1, 2});
-      });
+  const auto owned = make_multi_engine<D2Q9>(
+      EngineSpec::parse("mr-p:fp64:8x1x2"), ch.geo, tau, ndev);
+  auto& multi = *owned;
   ch.attach(multi);
 
   for (int s = 0; s < 20; ++s) {
@@ -113,11 +112,9 @@ TEST(MultiDev, DecomposedRecursiveMatches3D) {
 
   MrEngine<D3Q19> mono(ch.geo, tau, Regularization::kRecursive, {4, 4, 1});
   ch.attach(mono);
-  MultiDomainEngine<D3Q19> multi(
-      ch.geo, tau, 3, [&](Geometry g, int) -> std::unique_ptr<Engine<D3Q19>> {
-        return std::make_unique<MrEngine<D3Q19>>(
-            std::move(g), tau, Regularization::kRecursive, MrConfig{4, 4, 1});
-      });
+  const auto owned = make_multi_engine<D3Q19>(
+      EngineSpec::parse("mr-r:fp64:4x4x1"), ch.geo, tau, 3);
+  auto& multi = *owned;
   ch.attach(multi);
   for (int s = 0; s < 10; ++s) {
     mono.step();
@@ -158,10 +155,8 @@ TEST(MultiDev, BgkMomentExchangeIsApproximateButClose) {
   const auto ch = Channel<D2Q9>::create(20, 12, 1, tau, 0.04);
   StEngine<D2Q9> mono(ch.geo, tau);
   ch.attach(mono);
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, tau, 2, [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return std::make_unique<StEngine<D2Q9>>(std::move(g), tau);
-      });
+  const auto owned = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, tau, 2);
+  auto& multi = *owned;
   ch.attach(multi);
   for (int s = 0; s < 15; ++s) {
     mono.step();
@@ -175,11 +170,9 @@ TEST(MultiDev, BgkMomentExchangeIsApproximateButClose) {
 TEST(MultiDev, ExchangeAccounting) {
   const real_t tau = 0.8;
   const auto ch = Channel<D3Q19>::create(12, 6, 5, tau, 0.03);
-  MultiDomainEngine<D3Q19> multi(
-      ch.geo, tau, 3, [&](Geometry g, int) -> std::unique_ptr<Engine<D3Q19>> {
-        return std::make_unique<MrEngine<D3Q19>>(
-            std::move(g), tau, Regularization::kProjective, MrConfig{4, 4, 1});
-      });
+  const auto owned = make_multi_engine<D3Q19>(
+      EngineSpec::parse("mr-p:fp64:4x4x1"), ch.geo, tau, 3);
+  auto& multi = *owned;
   ch.attach(multi);
   // 2 interfaces x 2 directions x (6*5) face nodes x 10 moments.
   EXPECT_EQ(multi.exchanged_values_per_step(), 2ull * 2 * 30 * 10);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/sanitizer/sanitizer.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/factory.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/reference_engine.hpp"
@@ -42,18 +43,6 @@ using resilience::FaultInjector;
 using resilience::FaultKind;
 using resilience::ResilientRunner;
 using resilience::RunnerConfig;
-
-enum class Kind { kST, kAA, kMRP, kMRR };
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kST: return "ST";
-    case Kind::kAA: return "AA";
-    case Kind::kMRP: return "MR-P";
-    case Kind::kMRR: return "MR-R";
-  }
-  return "?";
-}
 
 /// Every stored quantity of every node, in deterministic order — the
 /// bit-identity comparand.
@@ -78,53 +67,42 @@ std::vector<real_t> dump_all(const Engine<L>& e) {
   return out;
 }
 
-/// Channel decomposition with uniform slab engines of the given kind. AA
-/// slabs take depth-2 ghosts (in-place odd step) and open interface faces;
+/// `ch` with bounce-back x faces. AA has no physical inlet or outlet
+/// (AaEngine), so its decompositions run the channel's initial field and
+/// end-plane pass between walls.
+template <class L>
+Channel<L> walled_x(Channel<L> ch) {
+  ch.geo.bc.set_axis(0, FaceBC::kWall);
+  return ch;
+}
+
+/// Channel decomposition with uniform slab engines of `spec`, at
+/// spec.ghost_depth() ghost planes (AA: 2, in-place odd step; walled x).
 /// MR uses tile_x = 2 so even thin slabs keep a genuine interior launch.
 template <class L>
 std::unique_ptr<MultiDomainEngine<L>> make_multi(const Channel<L>& ch,
-                                                 int ndev, Kind kind,
-                                                 StoragePrecision prec,
+                                                 int ndev, EngineSpec spec,
                                                  ExecMode exec,
                                                  ExchangeMode mode) {
-  const real_t tau = ch.tau;
-  const int depth = kind == Kind::kAA ? 2 : 1;
-  const MrConfig cfg = L::D == 2 ? MrConfig{2, 1, 2} : MrConfig{2, 4, 1};
-  auto m = std::make_unique<MultiDomainEngine<L>>(
-      ch.geo, tau, ndev,
-      [&](Geometry g, int) -> std::unique_ptr<Engine<L>> {
-        switch (kind) {
-          case Kind::kST:
-            return make_st_engine<L>(prec, std::move(g), tau,
-                                     CollisionScheme::kBGK, 64,
-                                     StreamMode::kPull, exec);
-          case Kind::kAA:
-            return make_aa_engine<L>(prec, std::move(g), tau,
-                                     CollisionScheme::kBGK, 64, exec,
-                                     /*allow_open_faces=*/true);
-          case Kind::kMRP:
-            return make_mr_engine<L>(prec, std::move(g), tau,
-                                     Regularization::kProjective, cfg, exec);
-          case Kind::kMRR:
-            return make_mr_engine<L>(prec, std::move(g), tau,
-                                     Regularization::kRecursive, cfg, exec);
-        }
-        return nullptr;
-      },
-      depth);
+  if (spec.is_mr()) {
+    spec.tile = L::D == 2 ? EngineSpec::Tile{2, 1, 2}
+                          : EngineSpec::Tile{2, 4, 1};
+  }
+  const Channel<L> run =
+      spec.pattern == EngineSpec::Pattern::kAA ? walled_x(ch) : ch;
+  auto m = make_multi_engine<L>(spec, run.geo, run.tau, ndev, exec);
   m->set_exchange_mode(mode);
-  ch.attach(*m);
+  run.attach(*m);
   return m;
 }
 
 template <class L>
-void expect_overlap_identical(const Channel<L>& ch, int ndev, Kind kind,
-                              StoragePrecision prec, ExecMode exec,
+void expect_overlap_identical(const Channel<L>& ch, int ndev,
+                              const EngineSpec& spec, ExecMode exec,
                               int steps) {
-  SCOPED_TRACE(std::string(kind_name(kind)) + " " + L::name() + " " +
-               to_string(prec) + " " + to_string(exec));
-  auto lock = make_multi(ch, ndev, kind, prec, exec, ExchangeMode::kLockstep);
-  auto over = make_multi(ch, ndev, kind, prec, exec, ExchangeMode::kOverlap);
+  SCOPED_TRACE(spec.to_string() + " " + L::name() + " " + to_string(exec));
+  auto lock = make_multi(ch, ndev, spec, exec, ExchangeMode::kLockstep);
+  auto over = make_multi(ch, ndev, spec, exec, ExchangeMode::kOverlap);
   lock->run(steps);
   over->run(steps);
   EXPECT_EQ(dump_all<L>(*lock), dump_all<L>(*over));
@@ -143,37 +121,36 @@ void expect_overlap_identical(const Channel<L>& ch, int ndev, Kind kind,
 // Exchange invariance: overlap == lockstep, bit for bit.
 // ---------------------------------------------------------------------------
 
+/// The engine x precision axes of the invariance matrix.
+constexpr const char* kMatrixSpecs[] = {
+    "st", "st:fp32", "aa", "aa:fp32", "mr-p", "mr-p:fp32", "mr-r", "mr-r:fp32"};
+
 TEST(OverlapInvariance, EngineMatrix2D) {
   // nx = 17 over 3 slabs: ragged widths 6, 6, 5.
   const auto ch = Channel<D2Q9>::create(17, 10, 1, 0.8, 0.04);
-  for (const Kind kind : {Kind::kST, Kind::kAA, Kind::kMRP, Kind::kMRR}) {
-    for (const StoragePrecision prec :
-         {StoragePrecision::kFP64, StoragePrecision::kFP32}) {
-      for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
-        expect_overlap_identical(ch, 3, kind, prec, exec, 6);
-      }
+  for (const char* spec : kMatrixSpecs) {
+    for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+      expect_overlap_identical(ch, 3, EngineSpec::parse(spec), exec, 6);
     }
   }
 }
 
 TEST(OverlapInvariance, EngineMatrix3D) {
   const auto ch = Channel<D3Q19>::create(17, 6, 5, 0.8, 0.04);
-  for (const Kind kind : {Kind::kST, Kind::kAA, Kind::kMRP, Kind::kMRR}) {
-    for (const StoragePrecision prec :
-         {StoragePrecision::kFP64, StoragePrecision::kFP32}) {
-      for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
-        expect_overlap_identical(ch, 3, kind, prec, exec, 4);
-      }
+  for (const char* spec : kMatrixSpecs) {
+    for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+      expect_overlap_identical(ch, 3, EngineSpec::parse(spec), exec, 4);
     }
   }
 }
 
 TEST(OverlapInvariance, ModeSwitchableBetweenSteps) {
   const auto ch = Channel<D2Q9>::create(18, 8, 1, 0.8, 0.04);
-  auto lock = make_multi(ch, 3, Kind::kMRP, StoragePrecision::kFP64,
-                         ExecMode::kScalar, ExchangeMode::kLockstep);
-  auto mixed = make_multi(ch, 3, Kind::kMRP, StoragePrecision::kFP64,
-                          ExecMode::kScalar, ExchangeMode::kLockstep);
+  const EngineSpec mrp = EngineSpec::parse("mr-p");
+  auto lock =
+      make_multi(ch, 3, mrp, ExecMode::kScalar, ExchangeMode::kLockstep);
+  auto mixed =
+      make_multi(ch, 3, mrp, ExecMode::kScalar, ExchangeMode::kLockstep);
   lock->run(6);
   mixed->run(2);
   mixed->set_exchange_mode(ExchangeMode::kOverlap);
@@ -208,32 +185,22 @@ void expect_split_matches_step(const Channel<L>& ch, const Make& make,
 TEST(StepSplit, MatchesPlainStepAcrossEngines) {
   const real_t tau = 0.8;
   const auto ch = Channel<D2Q9>::create(18, 10, 1, tau, 0.04);
-  expect_split_matches_step(
-      ch,
-      [&] { return std::make_unique<StEngine<D2Q9>>(ch.geo, tau); },
-      5, "ST pull");
+  // AA rejects the channel's open faces; every other pattern splits.
+  for (const char* spec : {"st", "ep", "ref", "mr-p:fp64:2x1x2"}) {
+    expect_split_matches_step(
+        ch,
+        [&] {
+          return make_engine<D2Q9>(EngineSpec::parse(spec), ch.geo, tau);
+        },
+        5, spec);
+  }
   expect_split_matches_step(
       ch,
       [&] {
         return std::make_unique<StEngine<D2Q9>>(
             ch.geo, tau, CollisionScheme::kBGK, 64, StreamMode::kPush);
       },
-      5, "ST push");
-  // Odd step count exercises both AA parities on each side of the split.
-  expect_split_matches_step(
-      ch,
-      [&] {
-        return std::make_unique<ReferenceEngine<D2Q9>>(ch.geo, tau,
-                                                       CollisionScheme::kBGK);
-      },
-      5, "reference");
-  expect_split_matches_step(
-      ch,
-      [&] {
-        return std::make_unique<MrEngine<D2Q9>>(
-            ch.geo, tau, Regularization::kProjective, MrConfig{2, 1, 2});
-      },
-      5, "MR-P ping-pong");
+      5, "st-push");
   expect_split_matches_step(
       ch,
       [&] {
@@ -322,19 +289,24 @@ TEST(OverlapSlabs, DepthAwareExtentsAndGhostMapping) {
   EXPECT_EQ(slabs[1].local_x(slabs[1].x_begin - 2), 0);
   EXPECT_EQ(slabs[1].local_x(slabs[1].x_end), 8);
   // Exchange volume scales with depth.
-  const auto ch = Channel<D2Q9>::create(17, 6, 1, 0.8, 0.04);
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, 0.8, 3,
-      [](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return make_aa_engine<D2Q9>(StoragePrecision::kFP64, std::move(g),
-                                    0.8, CollisionScheme::kBGK, 64,
-                                    default_exec_mode(),
-                                    /*allow_open_faces=*/true);
-      },
-      2);
+  const auto ch = walled_x(Channel<D2Q9>::create(17, 6, 1, 0.8, 0.04));
+  const auto owner =
+      make_multi_engine<D2Q9>(EngineSpec::parse("aa"), ch.geo, 0.8, 3);
+  auto& multi = *owner;
   EXPECT_EQ(multi.ghost_depth(), 2);
   // 2 interfaces x 2 directions x depth 2 x 6 face nodes x M=6.
   EXPECT_EQ(multi.exchanged_values_per_step(), 2ull * 2 * 2 * 6 * 6);
+}
+
+TEST(OverlapSlabs, AaRejectsAPhysicalInletOrOutlet) {
+  // Only the slab interfaces may be open; the channel's own inlet and
+  // outlet raise AaEngine's ConfigError, as a monolithic AA engine does.
+  const auto ch = Channel<D2Q9>::create(17, 6, 1, 0.8, 0.04);
+  const EngineSpec aa = EngineSpec::parse("aa");
+  for (const int ndev : {1, 3}) {
+    EXPECT_THROW((void)make_multi_engine<D2Q9>(aa, ch.geo, 0.8, ndev),
+                 ConfigError);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -364,8 +336,8 @@ TEST(OverlapCommStats, LockstepExposesAllOverlapHidesSome) {
   const int steps = 5;
   const auto ch = Channel<D3Q19>::create(24, 8, 8, 0.8, 0.04);
   auto run_mode = [&](ExchangeMode mode) {
-    auto m = make_multi(ch, 3, Kind::kMRP, StoragePrecision::kFP64,
-                        ExecMode::kScalar, mode);
+    auto m = make_multi(ch, 3, EngineSpec::parse("mr-p"), ExecMode::kScalar,
+                        mode);
     m->set_timeline_model(gpusim::DeviceSpec::v100(),
                           gpusim::LinkSpec::pcie3());
     m->run(steps);
@@ -411,8 +383,8 @@ TEST(OverlapCommStats, LockstepExposesAllOverlapHidesSome) {
 
 TEST(OverlapCommStats, WithoutTimelineModelStatsStayZero) {
   const auto ch = Channel<D2Q9>::create(16, 8, 1, 0.8, 0.04);
-  auto m = make_multi(ch, 2, Kind::kMRP, StoragePrecision::kFP64,
-                      ExecMode::kScalar, ExchangeMode::kOverlap);
+  auto m = make_multi(ch, 2, EngineSpec::parse("mr-p"), ExecMode::kScalar,
+                      ExchangeMode::kOverlap);
   EXPECT_FALSE(m->has_timeline_model());
   m->run(3);
   const gpusim::CommStats cs = m->comm_stats();
@@ -451,7 +423,7 @@ TEST(OverlapModel, PredictionWithin15PointsOfProfiler) {
   const auto link = gpusim::LinkSpec::pcie3();
   const int ndev = 4, steps = 5;
   const auto ch = Channel<D3Q19>::create(32, 8, 8, tau, 0.04);
-  auto multi = make_multi(ch, ndev, Kind::kMRP, StoragePrecision::kFP64,
+  auto multi = make_multi(ch, ndev, EngineSpec::parse("mr-p"),
                           ExecMode::kScalar, ExchangeMode::kOverlap);
   multi->set_timeline_model(dev, link);
   multi->run(steps);
@@ -502,8 +474,8 @@ TEST(OverlapModel, PredictorAlgebraInvariants) {
 TEST(OverlapResilience, HaloFaultRollbackReplayStaysBitIdentical) {
   const auto ch = Channel<D2Q9>::create(24, 10, 1, 0.8, 0.04);
   auto make = [&] {
-    auto m = make_multi(ch, 2, Kind::kST, StoragePrecision::kFP64,
-                        ExecMode::kScalar, ExchangeMode::kOverlap);
+    auto m = make_multi(ch, 2, EngineSpec::parse("st"), ExecMode::kScalar,
+                        ExchangeMode::kOverlap);
     m->set_timeline_model(gpusim::DeviceSpec::v100(),
                           gpusim::LinkSpec::nvlink2());
     return m;
@@ -560,13 +532,9 @@ TEST(OverlapSanitizer, OverlappedMultiDomainRunsAreHazardFree) {
   const real_t tau = 0.8;
   {
     const auto ch = Channel<D2Q9>::create(20, 10, 1, tau, 0.04);
-    MultiDomainEngine<D2Q9> multi(
-        ch.geo, tau, 3,
-        [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-          return std::make_unique<MrEngine<D2Q9>>(
-              std::move(g), tau, Regularization::kProjective,
-              MrConfig{2, 1, 2});
-        });
+    const auto owner = make_multi_engine<D2Q9>(
+        EngineSpec::parse("mr-p:fp64:2x1x2"), ch.geo, tau, 3);
+    auto& multi = *owner;
     multi.set_exchange_mode(ExchangeMode::kOverlap);
     Sanitizer san;
     multi.set_sanitizer(&san);
@@ -578,11 +546,9 @@ TEST(OverlapSanitizer, OverlappedMultiDomainRunsAreHazardFree) {
   {
     // Ragged 3D decomposition with ST slabs and AA's depth-2 variant.
     const auto ch = Channel<D3Q19>::create(17, 6, 5, tau, 0.04);
-    MultiDomainEngine<D3Q19> multi(
-        ch.geo, tau, 3,
-        [&](Geometry g, int) -> std::unique_ptr<Engine<D3Q19>> {
-          return std::make_unique<StEngine<D3Q19>>(std::move(g), tau);
-        });
+    const auto owner =
+        make_multi_engine<D3Q19>(EngineSpec::parse("st"), ch.geo, tau, 3);
+    auto& multi = *owner;
     multi.set_exchange_mode(ExchangeMode::kOverlap);
     Sanitizer san;
     multi.set_sanitizer(&san);
@@ -592,7 +558,9 @@ TEST(OverlapSanitizer, OverlappedMultiDomainRunsAreHazardFree) {
         << "ST overlap 3D:\n" << san.report().to_string();
   }
   {
-    const auto ch = Channel<D2Q9>::create(18, 8, 1, tau, 0.04);
+    // 64-thread blocks: several blocks per launch on these thin slabs, so
+    // the cross-block conflict check has pairs to compare.
+    const auto ch = walled_x(Channel<D2Q9>::create(18, 8, 1, tau, 0.04));
     MultiDomainEngine<D2Q9> multi(
         ch.geo, tau, 3,
         [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
@@ -601,7 +569,7 @@ TEST(OverlapSanitizer, OverlappedMultiDomainRunsAreHazardFree) {
                                       default_exec_mode(),
                                       /*allow_open_faces=*/true);
         },
-        /*ghost_depth=*/2);
+        EngineSpec::parse("aa").ghost_depth());
     multi.set_exchange_mode(ExchangeMode::kOverlap);
     Sanitizer san;
     multi.set_sanitizer(&san);

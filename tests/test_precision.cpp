@@ -15,6 +15,7 @@
 #include <cmath>
 #include <filesystem>
 
+#include "engines/engine_spec.hpp"
 #include "engines/factory.hpp"
 #include "engines/reference_engine.hpp"
 #include "gpusim/global_array.hpp"
@@ -352,18 +353,13 @@ TEST(PrecisionReporting, MultiDomainReportsSlabPrecision) {
   geo.bc.set_axis(0, FaceBC::kWall);
   geo.bc.set_axis(1, FaceBC::kWall);
   geo.bc.set_axis(2, FaceBC::kPeriodic);
-  MultiDomainEngine<D2Q9> multi(
-      geo, 0.8, 2, [](Geometry g, int) {
-        return make_st_engine<D2Q9>(StoragePrecision::kFP32, std::move(g),
-                                    0.8);
-      });
+  const auto owned =
+      make_multi_engine<D2Q9>(EngineSpec::parse("st:fp32"), geo, 0.8, 2);
+  auto& multi = *owned;
   EXPECT_EQ(multi.storage_precision(), StoragePrecision::kFP32);
   // state_bytes sums fp32 slabs: half of the fp64 decomposition.
-  MultiDomainEngine<D2Q9> multi64(
-      geo, 0.8, 2, [](Geometry g, int) {
-        return make_st_engine<D2Q9>(StoragePrecision::kFP64, std::move(g),
-                                    0.8);
-      });
+  const auto owned64 = make_multi_engine<D2Q9>(EngineSpec{}, geo, 0.8, 2);
+  auto& multi64 = *owned64;
   EXPECT_EQ(multi64.state_bytes(), 2 * multi.state_bytes());
 }
 

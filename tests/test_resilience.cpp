@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engines/aa_engine.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/reference_engine.hpp"
 #include "engines/st_engine.hpp"
@@ -180,10 +181,8 @@ TEST(FaultSurface, AaFlipIsLiveAndVisible) {
 
 TEST(FaultSurface, MultiDomainRoutesSitesAcrossSlabs) {
   const auto ch = Channel<D2Q9>::create(24, 10, 1, 0.8, 0.04);
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, 0.8, 2, [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return std::make_unique<StEngine<D2Q9>>(std::move(g), 0.8);
-      });
+  const auto owned = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, 0.8, 2);
+  auto& multi = *owned;
   ch.attach(multi);
   EXPECT_EQ(multi.fault_sites(), multi.device_engine(0).fault_sites() +
                                      multi.device_engine(1).fault_sites());
@@ -246,10 +245,8 @@ TEST(MultiDomainValidation, RejectsTauMismatchAndPeriodicAxis) {
 
 TEST(MultiDomainValidation, OutOfRangeCoordinateIsTyped) {
   const auto ch = Channel<D2Q9>::create(16, 8, 1, 0.8, 0.04);
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, 0.8, 2, [](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return std::make_unique<StEngine<D2Q9>>(std::move(g), 0.8);
-      });
+  const auto owned = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, 0.8, 2);
+  auto& multi = *owned;
   ch.attach(multi);
   EXPECT_THROW((void)multi.moments_at(-1, 0, 0), OutOfRangeError);
   EXPECT_THROW((void)multi.moments_at(16, 0, 0), std::out_of_range);
@@ -586,10 +583,7 @@ TEST(Runner, WritesDiskMirrorInCheckpointV2) {
 TEST(Runner, MultiDomainHaloCorruptionRecoversBitIdentical) {
   const auto ch = Channel<D2Q9>::create(24, 10, 1, 0.8, 0.04);
   auto make_multi = [&]() {
-    auto m = std::make_unique<MultiDomainEngine<D2Q9>>(
-        ch.geo, 0.8, 2, [](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-          return std::make_unique<StEngine<D2Q9>>(std::move(g), 0.8);
-        });
+    auto m = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, 0.8, 2);
     ch.attach(*m);
     return m;
   };

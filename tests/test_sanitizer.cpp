@@ -18,6 +18,7 @@
 
 #include "analysis/sanitizer/sanitizer.hpp"
 #include "engines/aa_engine.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
 #include "gpusim/global_array.hpp"
@@ -536,11 +537,8 @@ TEST(SanitizerCleanMatrix, WallDomainCavity) {
 TEST(SanitizerCleanMatrix, MultiDomainChannel) {
   const real_t tau = 0.8;
   const auto ch = Channel<D2Q9>::create(20, 10, 1, tau, 0.04);
-  MultiDomainEngine<D2Q9> multi(
-      ch.geo, tau, 2, [&](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return std::make_unique<StEngine<D2Q9>>(std::move(g), tau);
-      });
-  expect_clean_run(multi, ch, 3, "MultiDomain 2x ST channel");
+  const auto multi = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, tau, 2);
+  expect_clean_run(*multi, ch, 3, "MultiDomain 2x ST channel");
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "analysis/static/contract.hpp"
 #include "analysis/static/traffic.hpp"
 #include "analysis/static/verify.hpp"
+#include "engines/engine_spec.hpp"
 #include "engines/factory.hpp"
 #include "engines/mr_engine.hpp"
 #include "multidev/multi_domain.hpp"
@@ -100,32 +101,20 @@ TEST(StaticAnalysis, RequiredGhostDepthPerPattern) {
 }
 
 TEST(StaticAnalysis, MultiDomainExchangesTheDerivedDepth) {
-  // The decomposition's ghost_depth is caller-chosen; the analyzer's derived
-  // requirement must reproduce the depths the multi-domain callers use
-  // (ST/MR exchange 1 plane, AA exchanges 2).
-  const auto ch = Channel<D2Q9>::create(24, 6, 1, 0.8, 0.04);
-  MultiDomainEngine<D2Q9> st_multi(
-      ch.geo, 0.8, 2,
-      [](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return make_st_engine<D2Q9>(StoragePrecision::kFP64, std::move(g),
-                                    0.8);
-      });
-  EXPECT_EQ(analysis::required_ghost_depth(
-                st_multi.device_engine(0).access_contract()),
-            st_multi.ghost_depth());
-
-  MultiDomainEngine<D2Q9> aa_multi(
-      ch.geo, 0.8, 2,
-      [](Geometry g, int) -> std::unique_ptr<Engine<D2Q9>> {
-        return make_aa_engine<D2Q9>(StoragePrecision::kFP64, std::move(g),
-                                    0.8, CollisionScheme::kBGK, 64,
-                                    default_exec_mode(),
-                                    /*allow_open_faces=*/true);
-      },
-      2);
-  EXPECT_EQ(analysis::required_ghost_depth(
-                aa_multi.device_engine(0).access_contract()),
-            aa_multi.ghost_depth());
+  // The decomposition's ghost_depth comes from EngineSpec::ghost_depth(); the
+  // analyzer's derived requirement must reproduce it for every pattern
+  // (ST/MR exchange 1 plane, AA and EP exchange 2). The channel's x faces
+  // are walled: AA takes no physical inlet or outlet.
+  Geometry geo = Channel<D2Q9>::create(24, 6, 1, 0.8, 0.04).geo;
+  geo.bc.set_axis(0, FaceBC::kWall);
+  for (const EngineSpec& spec : EngineSpec::all()) {
+    if (spec.pattern == EngineSpec::Pattern::kRef) continue;  // no contract
+    SCOPED_TRACE(spec.to_string());
+    const auto multi = make_multi_engine<D2Q9>(spec, geo, 0.8, 2);
+    EXPECT_EQ(analysis::required_ghost_depth(
+                  multi->device_engine(0).access_contract()),
+              multi->ghost_depth());
+  }
 }
 
 // ---------------------------------------------------------------------------
