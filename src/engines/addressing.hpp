@@ -18,11 +18,14 @@
 //     steps (`locate`) and whether it is stored pre- or post-collision;
 //   * its kernel-record names and its `AccessDesc` contract.
 //
-// Neighbour addressing is passed in as `nb(x, y, z)` — the box cell on dense
-// storage, the tile-stash element on tile-compressed storage — so each map
-// is written once for both.
+// Links and memory accesses are passed in as a link resolver and an
+// accessor, so each map is written once for dense and tile-compressed
+// storage, and once for the instrumented and the interior fast path
+// (docs/algorithms.md §16).
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -109,6 +112,151 @@ struct PopSlot {
 
 namespace addr {
 
+// ------------------------------------------------------ links and accessors
+// Every flavour map below runs in two instantiations (docs/algorithms.md
+// §16), so there is one gather and one scatter per flavour, not one per
+// execution path:
+//   * the instrumented pair — BoundaryLinks (the shared resolver,
+//     streaming.hpp) with CountedIo (GlobalArray's counted, sanitized,
+//     unique-read-tracked accesses);
+//   * the interior pair — InteriorLinks (constant per-direction element
+//     offsets; every link interior) with TallyIo (bare element access plus
+//     a register tally of what CountedIo would have counted).
+// A link resolver `lk` maps direction i to the push along c_i from the node:
+// `lk(i)` has a `kind` and a `cu_wall`, and `lk.elem(t)` is the neighbour
+// element of an interior link.
+
+/// Instrumented links: the boundary resolver at node (x, y, z), neighbour
+/// elements through `nb`.
+template <class L, class Nb>
+struct BoundaryLinks {
+  const Geometry& geo;
+  const Nb& nb;
+  int x, y, z;
+  [[nodiscard]] StreamTarget operator()(int i) const {
+    return resolve_stream<L>(geo, x, y, z, i);
+  }
+  [[nodiscard]] index_t elem(const StreamTarget& t) const {
+    return nb(t.x, t.y, t.z);
+  }
+};
+
+/// An all-interior link: its kind and wall term are compile-time constants,
+/// so every boundary branch of a map folds away.
+struct InteriorLink {
+  static constexpr StreamTarget::Kind kind = StreamTarget::Kind::kInterior;
+  static constexpr real_t cu_wall = 0;
+  index_t at;
+};
+
+/// Interior links of dense node `cell`: element cell + off[i].
+template <class L>
+struct InteriorLinks {
+  index_t cell;
+  const index_t (&off)[L::Q];
+  [[nodiscard]] InteriorLink operator()(int i) const {
+    return {cell + off[static_cast<std::size_t>(i)]};
+  }
+  [[nodiscard]] static index_t elem(const InteriorLink& t) { return t.at; }
+};
+
+/// The interior resolver's offsets on box `b`: element offset of c_i,
+/// derived from the lattice velocities and the box strides.
+template <class L>
+void interior_offsets(const Box& b, index_t (&off)[L::Q]) {
+  for (int i = 0; i < L::Q; ++i) {
+    const auto& c = L::c[static_cast<std::size_t>(i)];
+    off[i] = c[0] + (c[1] + static_cast<index_t>(c[2]) * b.ny) *
+                        static_cast<index_t>(b.nx);
+  }
+}
+
+/// Instrumented accessor: GlobalArray's counted forms, one counter update
+/// (and sanitizer notification, unique-read touch) per access.
+struct CountedIo {
+  template <class T>
+  [[gnu::always_inline]] real_t load(const gpusim::GlobalArray<T>& a,
+                                     index_t i) const {
+    return a.template load_as<real_t>(i);
+  }
+  template <class T>
+  [[gnu::always_inline]] void store(gpusim::GlobalArray<T>& a, index_t i,
+                                    real_t val) const {
+    a.template store_as<real_t>(i, val);
+  }
+  template <class T>
+  [[gnu::always_inline]] void load_span(const gpusim::GlobalArray<T>& a,
+                                        index_t base, index_t stride, int n,
+                                        real_t* dst) const {
+    a.template load_span_as<real_t>(base, stride, n, dst);
+  }
+  template <class T>
+  [[gnu::always_inline]] void store_span(gpusim::GlobalArray<T>& a,
+                                         index_t base, index_t stride, int n,
+                                         const real_t* src) const {
+    a.template store_span_as<real_t>(base, stride, n, src);
+  }
+};
+
+/// Interior accessor: bare element access (the same conversions as the
+/// counted forms) plus a register tally of exactly what they would count —
+/// sizeof(T) bytes in one transaction per scalar access, n * sizeof(T) in
+/// one per span — handed to the counter by `flush` once per x-run.
+struct TallyIo {
+  gpusim::TrafficSnapshot tally;
+
+  template <class T>
+  [[gnu::always_inline]] real_t load(const gpusim::GlobalArray<T>& a,
+                                     index_t i) {
+    assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
+    tally.bytes_read += sizeof(T);
+    tally.reads += 1;
+    return static_cast<real_t>(a.kernel_data()[i]);
+  }
+  template <class T>
+  [[gnu::always_inline]] void store(gpusim::GlobalArray<T>& a, index_t i,
+                                    real_t val) {
+    assert(i >= 0 && static_cast<std::size_t>(i) < a.size());
+    tally.bytes_written += sizeof(T);
+    tally.writes += 1;
+    a.kernel_data()[i] = static_cast<T>(val);
+  }
+  template <class T>
+  [[gnu::always_inline]] void load_span(const gpusim::GlobalArray<T>& a,
+                                        index_t base, index_t stride, int n,
+                                        real_t* dst) {
+    assert(span_in(a, base, stride, n));
+    tally.bytes_read += static_cast<std::uint64_t>(n) * sizeof(T);
+    tally.reads += 1;
+    const T* p = a.kernel_data() + base;
+    for (int k = 0; k < n; ++k, p += stride) dst[k] = static_cast<real_t>(*p);
+  }
+  template <class T>
+  [[gnu::always_inline]] void store_span(gpusim::GlobalArray<T>& a,
+                                         index_t base, index_t stride, int n,
+                                         const real_t* src) {
+    assert(span_in(a, base, stride, n));
+    tally.bytes_written += static_cast<std::uint64_t>(n) * sizeof(T);
+    tally.writes += 1;
+    T* p = a.kernel_data() + base;
+    for (int k = 0; k < n; ++k, p += stride) *p = static_cast<T>(src[k]);
+  }
+
+  void flush(gpusim::TrafficCounter& c) const {
+    if (tally.reads != 0) c.add_read(tally.bytes_read, tally.reads);
+    if (tally.writes != 0) c.add_write(tally.bytes_written, tally.writes);
+  }
+
+ private:
+  template <class T>
+  static bool span_in(const gpusim::GlobalArray<T>& a, index_t base,
+                      index_t stride, int n) {
+    const index_t last = base + static_cast<index_t>(n - 1) * stride;
+    return n > 0 && std::min(base, last) >= 0 &&
+           static_cast<std::size_t>(std::max(base, last)) < a.size();
+  }
+};
+
 /// Moving-wall bounce-back correction 2 w_i rho (c_i . u_wall) / cs2.
 template <class L>
 [[gnu::always_inline]] inline real_t wall_term(int i, real_t rho,
@@ -120,16 +268,14 @@ template <class L>
 
 /// Node-local read of all Q populations of `elem` (one span transaction
 /// when batched); returns their sum, the pre-collision density.
-template <class L, class ST>
+template <class L, class ST, class Io>
 [[gnu::always_inline]] inline real_t read_own(const LatticeView<L, ST>& v,
-                                              index_t elem,
+                                              Io& io, index_t elem,
                                               real_t (&f)[L::Q]) {
   if (v.batched) {
-    v.src->template load_span_as<real_t>(elem, v.elems, L::Q, f);
+    io.load_span(*v.src, elem, v.elems, L::Q, f);
   } else {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = v.src->template load_as<real_t>(v.soa(i, elem));
-    }
+    for (int i = 0; i < L::Q; ++i) f[i] = io.load(*v.src, v.soa(i, elem));
   }
   real_t rho = 0;
   for (int i = 0; i < L::Q; ++i) rho += f[i];
@@ -137,72 +283,68 @@ template <class L, class ST>
 }
 
 /// Node-local write of all Q populations of `elem`.
-template <class L, class ST>
+template <class L, class ST, class Io>
 [[gnu::always_inline]] inline void write_own(const LatticeView<L, ST>& v,
-                                             index_t elem,
+                                             Io& io, index_t elem,
                                              const real_t (&f)[L::Q]) {
   if (v.batched) {
-    v.dst->template store_span_as<real_t>(elem, v.elems, L::Q, f);
+    io.store_span(*v.dst, elem, v.elems, L::Q, f);
   } else {
-    for (int i = 0; i < L::Q; ++i) {
-      v.dst->template store_as<real_t>(v.soa(i, elem), f[i]);
-    }
+    for (int i = 0; i < L::Q; ++i) io.store(*v.dst, v.soa(i, elem), f[i]);
   }
 }
 
 /// Push scatter: f*_i into slot i of the downwind node x + c_i; a wall link
 /// bounces back into this node's own slot opposite(i). Open-face links are
 /// dropped, unless `kOwnOnDrop` (AA) keeps them in the own slot too.
-template <bool kOwnOnDrop, class L, class ST, class Nb>
-[[gnu::always_inline]] inline void push_scatter(
-    const LatticeView<L, ST>& v, const Nb& nb, index_t elem, int x, int y,
-    int z, const real_t (&f)[L::Q], real_t rho) {
+template <bool kOwnOnDrop, class L, class ST, class Lk, class Io>
+[[gnu::always_inline]] inline void push_scatter(const LatticeView<L, ST>& v,
+                                                const Lk& lk, Io& io,
+                                                index_t elem,
+                                                const real_t (&f)[L::Q],
+                                                real_t rho) {
   for (int i = 0; i < L::Q; ++i) {
-    const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, i);
+    const auto t = lk(i);
     if (t.kind == StreamTarget::Kind::kInterior) {
-      v.dst->template store_as<real_t>(v.soa(i, nb(t.x, t.y, t.z)), f[i]);
+      io.store(*v.dst, v.soa(i, lk.elem(t)), f[i]);
     } else if (kOwnOnDrop || t.kind == StreamTarget::Kind::kBounce) {
-      v.dst->template store_as<real_t>(v.soa(L::opposite(i), elem),
-                                       f[i] - wall_term<L>(i, rho, t.cu_wall));
+      io.store(*v.dst, v.soa(L::opposite(i), elem),
+               f[i] - wall_term<L>(i, rho, t.cu_wall));
     }
   }
 }
 
 // ----------------------------------------------------------------- flavours
-// kSkipSolids: dense launches must not run solid nodes (an in-place scatter
-// from one would rewrite live words of fluid neighbours).
 // kTileNeighbours: the flavour reaches other tiles, so tile launches load
 // the full neighbour-slot stash instead of the tile's own slot.
 
 /// ST pull (Algorithm 1): gather f_i from the upwind node x - c_i, write the
 /// node's Q populations as one span into the other lattice.
 struct StPull {
-  static constexpr bool kSkipSolids = false;
   static constexpr bool kTileNeighbours = true;
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static real_t gather(const LatticeView<L, ST>& v,
-                                              const Nb& nb, index_t elem,
-                                              int x, int y, int z,
+                                              const Lk& lk, Io& io,
+                                              index_t elem,
                                               real_t (&f)[L::Q]) {
     const gpusim::GlobalArray<ST>& src = *v.src;
     // Pulling direction i is a push along opposite(i) from this node, so
     // the shared resolver runs with the opposite velocity.
     real_t rho_self = real_t(-1);  // lazily computed for moving walls
     for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, L::opposite(i));
+      const auto t = lk(L::opposite(i));
       switch (t.kind) {
         case StreamTarget::Kind::kInterior:
-          f[i] = src.template load_as<real_t>(v.soa(i, nb(t.x, t.y, t.z)));
+          f[i] = io.load(src, v.soa(i, lk.elem(t)));
           break;
         case StreamTarget::Kind::kBounce: {
-          real_t val =
-              src.template load_as<real_t>(v.soa(L::opposite(i), elem));
+          real_t val = io.load(src, v.soa(L::opposite(i), elem));
           if (t.cu_wall != real_t(0)) {
             if (rho_self < real_t(0)) {
               rho_self = 0;
               for (int j = 0; j < L::Q; ++j) {
-                rho_self += src.template load_as<real_t>(v.soa(j, elem));
+                rho_self += io.load(src, v.soa(j, elem));
               }
             }
             val -= wall_term<L>(i, rho_self, t.cu_wall);
@@ -213,42 +355,41 @@ struct StPull {
         case StreamTarget::Kind::kDropped:
           // This node sits on an open face and is rebuilt by the BC pass;
           // any finite placeholder works.
-          f[i] = src.template load_as<real_t>(v.soa(L::opposite(i), elem));
+          f[i] = io.load(src, v.soa(L::opposite(i), elem));
           break;
       }
     }
     return 0;
   }
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static void scatter(const LatticeView<L, ST>& v,
-                                             const Nb&, index_t elem, int, int,
-                                             int, const real_t (&f)[L::Q],
+                                             const Lk&, Io& io, index_t elem,
+                                             const real_t (&f)[L::Q],
                                              real_t) {
-    write_own(v, elem, f);
+    write_own(v, io, elem, f);
   }
 };
 
 /// ST push: read the node's own populations as one span, scatter
 /// downwind into the other lattice.
 struct StPush {
-  static constexpr bool kSkipSolids = false;
   static constexpr bool kTileNeighbours = true;
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static real_t gather(const LatticeView<L, ST>& v,
-                                              const Nb&, index_t elem, int,
-                                              int, int, real_t (&f)[L::Q]) {
-    return read_own(v, elem, f);
+                                              const Lk&, Io& io, index_t elem,
+                                              real_t (&f)[L::Q]) {
+    return read_own(v, io, elem, f);
   }
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static void scatter(const LatticeView<L, ST>& v,
-                                             const Nb& nb, index_t elem, int x,
-                                             int y, int z,
+                                             const Lk& lk, Io& io,
+                                             index_t elem,
                                              const real_t (&f)[L::Q],
                                              real_t rho_pre) {
-    push_scatter<false>(v, nb, elem, x, y, z, f, rho_pre);
+    push_scatter<false>(v, lk, io, elem, f, rho_pre);
   }
 };
 
@@ -257,32 +398,31 @@ struct StPush {
 /// moving-wall correction here, where the density is thread-local, so the
 /// odd gather never touches a word another thread rewrites.
 struct AaEven {
-  static constexpr bool kSkipSolids = false;
   static constexpr bool kTileNeighbours = false;
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static real_t gather(const LatticeView<L, ST>& v,
-                                              const Nb&, index_t elem, int,
-                                              int, int, real_t (&f)[L::Q]) {
-    return read_own(v, elem, f);
+                                              const Lk&, Io& io, index_t elem,
+                                              real_t (&f)[L::Q]) {
+    return read_own(v, io, elem, f);
   }
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static void scatter(const LatticeView<L, ST>& v,
-                                             const Nb&, index_t elem, int x,
-                                             int y, int z,
+                                             const Lk& lk, Io& io,
+                                             index_t elem,
                                              const real_t (&f)[L::Q],
                                              real_t rho_pre) {
     real_t out[L::Q];
     for (int i = 0; i < L::Q; ++i) {
       real_t val = f[i];
-      const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, i);
+      const auto t = lk(i);
       if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
         val -= wall_term<L>(i, rho_pre, t.cu_wall);
       }
       out[static_cast<std::size_t>(L::opposite(i))] = val;
     }
-    write_own(v, elem, out);
+    write_own(v, io, elem, out);
   }
 };
 
@@ -292,33 +432,31 @@ struct AaEven {
 /// (j, m) is gathered and scattered only by node m - c_j, so the update is
 /// race-free in place and plane ranges touch disjoint words.
 struct AaOdd {
-  static constexpr bool kSkipSolids = false;
   static constexpr bool kTileNeighbours = true;
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static real_t gather(const LatticeView<L, ST>& v,
-                                              const Nb& nb, index_t elem,
-                                              int x, int y, int z,
+                                              const Lk& lk, Io& io,
+                                              index_t elem,
                                               real_t (&f)[L::Q]) {
     for (int i = 0; i < L::Q; ++i) {
-      const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, L::opposite(i));
-      f[i] = v.src->template load_as<real_t>(
-          t.kind == StreamTarget::Kind::kInterior
-              ? v.soa(L::opposite(i), nb(t.x, t.y, t.z))
-              : v.soa(i, elem));
+      const auto t = lk(L::opposite(i));
+      f[i] = io.load(*v.src, t.kind == StreamTarget::Kind::kInterior
+                                 ? v.soa(L::opposite(i), lk.elem(t))
+                                 : v.soa(i, elem));
     }
     real_t rho = 0;
     for (int i = 0; i < L::Q; ++i) rho += f[i];
     return rho;
   }
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static void scatter(const LatticeView<L, ST>& v,
-                                             const Nb& nb, index_t elem, int x,
-                                             int y, int z,
+                                             const Lk& lk, Io& io,
+                                             index_t elem,
                                              const real_t (&f)[L::Q],
                                              real_t rho_now) {
-    push_scatter<true>(v, nb, elem, x, y, z, f, rho_now);
+    push_scatter<true>(v, lk, io, elem, f, rho_now);
   }
 };
 
@@ -332,26 +470,24 @@ struct AaOdd {
 /// storage-narrowed population and the narrowed post-collision density,
 /// the exact words ST pull reads from the node's own cell.
 struct Ep {
-  static constexpr bool kSkipSolids = true;
   static constexpr bool kTileNeighbours = true;
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static real_t gather(const LatticeView<L, ST>& v,
-                                              const Nb& nb, index_t elem,
-                                              int x, int y, int z,
+                                              const Lk& lk, Io& io,
+                                              index_t elem,
                                               real_t (&f)[L::Q]) {
     for (int i = 0; i < L::Q; ++i) {
       const int j = L::opposite(i);
-      const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, j);
+      const auto t = lk(j);
       if (t.kind == StreamTarget::Kind::kInterior) {
-        const index_t tc = j < i ? nb(t.x, t.y, t.z) : elem;
-        f[i] = v.src->template load_as<real_t>(v.soa(v.even ? j : i, tc));
+        const index_t tc = j < i ? lk.elem(t) : elem;
+        f[i] = io.load(*v.src, v.soa(v.even ? j : i, tc));
       } else {
         const index_t rb = v.rim_base(elem, j);
-        real_t val = v.rim->template load_as<real_t>(rb);
+        real_t val = io.load(*v.rim, rb);
         if (t.kind == StreamTarget::Kind::kBounce && t.cu_wall != real_t(0)) {
-          val -= wall_term<L>(i, v.rim->template load_as<real_t>(rb + 1),
-                              t.cu_wall);
+          val -= wall_term<L>(i, io.load(*v.rim, rb + 1), t.cu_wall);
         }
         f[i] = val;
       }
@@ -359,19 +495,19 @@ struct Ep {
     return 0;
   }
 
-  template <class L, class ST, class Nb>
+  template <class L, class ST, class Lk, class Io>
   [[gnu::always_inline]] static void scatter(const LatticeView<L, ST>& v,
-                                             const Nb& nb, index_t elem, int x,
-                                             int y, int z,
+                                             const Lk& lk, Io& io,
+                                             index_t elem,
                                              const real_t (&f)[L::Q], real_t) {
     real_t rho_post = 0;
     bool have_rho = false;
     for (int i = 0; i < L::Q; ++i) {
       const int j = L::opposite(i);
-      const StreamTarget t = resolve_stream<L>(*v.geo, x, y, z, i);
+      const auto t = lk(i);
       if (t.kind == StreamTarget::Kind::kInterior) {
-        const index_t tc = i < j ? nb(t.x, t.y, t.z) : elem;
-        v.dst->template store_as<real_t>(v.soa(v.even ? i : j, tc), f[i]);
+        const index_t tc = i < j ? lk.elem(t) : elem;
+        io.store(*v.dst, v.soa(v.even ? i : j, tc), f[i]);
       } else {
         if (!have_rho) {
           for (int k = 0; k < L::Q; ++k) {
@@ -380,9 +516,8 @@ struct Ep {
           have_rho = true;
         }
         const index_t rb = v.rim_base(elem, i);
-        v.rim->template store_as<real_t>(
-            rb, static_cast<real_t>(static_cast<ST>(f[i])));
-        v.rim->template store_as<real_t>(rb + 1, rho_post);
+        io.store(*v.rim, rb, static_cast<real_t>(static_cast<ST>(f[i])));
+        io.store(*v.rim, rb + 1, rho_post);
       }
     }
   }

@@ -11,7 +11,9 @@
 //   * the launch loops — a plane-range loop in scalar and in lane-panel
 //     form, and a tile loop (one thread per 64-node tile; sparse launches
 //     always run it, whatever the ExecMode) — each generic over the per-node
-//     flavour of the addressing policy `A` (addressing.hpp);
+//     flavour of the addressing policy `A` (addressing.hpp). The plane-range
+//     loops walk each block as x-runs and run a run's all-interior nodes on
+//     the interior fast path (docs/algorithms.md §16);
 //   * the moment convention built from the policy's population map, and the
 //     sanitizer, unique-read, fault-site and raw-state surfaces.
 //
@@ -25,7 +27,9 @@
 // tiles, so the profiler attributes traffic per tile class.
 //
 // StEngine, AaEngine and EpEngine are thin classes over this chassis that
-// keep the historical constructors.
+// keep the historical constructors. Member definitions live in
+// dist_engine_impl.hpp and are instantiated per lattice, one TU each
+// (dist_engine_<lattice>.cpp).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,26 @@
 #include "gpusim/profiler.hpp"
 
 namespace mlbm {
+
+/// One dense plane-range launch: thread r of [0, cells) covers node
+/// (rx0 + r % nxr, (r / nxr) % ny, r / (nxr ny)) — for the full range, the
+/// flat cell index.
+template <class L>
+struct DenseRange {
+  Box b;
+  int rx0 = 0;
+  index_t nxr = 0;
+  index_t cells = 0;
+  /// The launch may run interior nodes on the fast path at all.
+  bool fast = false;
+
+  /// Walks threads [start, end) as x-runs, decoding (x, y, z) once and then
+  /// advancing with a carry: calls fn(xa, fa, fb, xb, y, z) per run
+  /// [xa, xb) of row (y, z), whose all-interior nodes are [fa, fb) (empty,
+  /// fa = fb = xb, when the launch or the row has none).
+  template <class Fn>
+  void runs(index_t start, index_t end, Fn&& fn) const;
+};
 
 template <class L, class ST, class A>
 class DistEngine : public Engine<L> {
@@ -204,10 +228,18 @@ class DistEngine : public Engine<L> {
   /// or the (occupancy-masked) mixed list.
   void run_tiles(int ph, bool mixed, int begin, int count,
                  gpusim::KernelRecord& rec);
+  /// One launch over planes [rx0, rx1), a block per threads_per_block_
+  /// threads: calls run(xa, fa, fb, xb, y, z) per x-run (DenseRange::runs),
+  /// with an empty interior body whenever the launch needs per-access facts.
+  template <class Run>
+  void dense_launch(int rx0, int rx1, gpusim::KernelRecord& rec, Run&& run);
   template <class F>
   void range_scalar(const View& v, int rx0, int rx1, gpusim::KernelRecord& rec);
   template <class F>
   void range_lanes(const View& v, int rx0, int rx1, gpusim::KernelRecord& rec);
+  template <class F, class Links, class Io>
+  void lanes_sweep(const View& v, const Links& links, Io& io, index_t row,
+                   int x0, int x1);
   template <class F>
   void tiles(const View& v, bool mixed, int begin, int count,
              gpusim::KernelRecord& rec);

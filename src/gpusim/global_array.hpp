@@ -172,6 +172,18 @@ class GlobalArray {
     return data_[static_cast<std::size_t>(i)];
   }
 
+  /// Bare device pointer for a kernel that counts its own traffic (the
+  /// dense interior fast path: engines/addressing.hpp TallyIo). Such a
+  /// kernel owes the counter exactly what the counted forms would have
+  /// added, and may only run while `per_access_hooks()` is false.
+  [[nodiscard]] T* kernel_data() { return data_.data(); }
+  [[nodiscard]] const T* kernel_data() const { return data_.data(); }
+  /// True while an attached sanitizer or unique-read tracking must see
+  /// every access one by one.
+  [[nodiscard]] bool per_access_hooks() const {
+    return san_ != nullptr || !read_touched_.empty();
+  }
+
   /// Flips one bit of the stored element at `i` — the model of an ECC-scale
   /// soft error landing in this allocation while it sits in DRAM. Uncounted
   /// (a cosmic ray is not a kernel access); `bit` is taken modulo the

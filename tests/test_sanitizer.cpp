@@ -12,6 +12,7 @@
 //    circular x fp64/fp32, 2D/3D, MultiDomain) reports zero hazards.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "analysis/sanitizer/sanitizer.hpp"
 #include "engines/aa_engine.hpp"
 #include "engines/engine_spec.hpp"
+#include "engines/ep_engine.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
 #include "gpusim/global_array.hpp"
@@ -452,15 +454,78 @@ TEST(SanitizerMutation, ShrunkenCrossHaloCaught) {
 // Clean engine matrix: zero hazards on every correct configuration.
 // ---------------------------------------------------------------------------
 
+/// A Sanitizer that also counts the global accesses it observes (one per
+/// scalar access or span, as the traffic counter counts transactions).
+class CountingSanitizer final : public gpusim::SanitizerHook {
+ public:
+  Sanitizer san;
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> writes{0};
+
+  void on_launch_begin(const gpusim::KernelRecord& rec, Dim3 grid, Dim3 block,
+                       int levels) override {
+    san.on_launch_begin(rec, grid, block, levels);
+  }
+  void on_block_begin(long long block, int level) override {
+    san.on_block_begin(block, level);
+  }
+  void on_block_end() override { san.on_block_end(); }
+  void on_launch_end(const std::vector<std::uint64_t>& syncs) override {
+    san.on_launch_end(syncs);
+  }
+  void begin_launch_group() override { san.begin_launch_group(); }
+  void end_launch_group() override { san.end_launch_group(); }
+  void global_register(const void* arr, std::size_t n, std::size_t elem_bytes,
+                       const char* name, bool sliding_window) override {
+    san.global_register(arr, n, elem_bytes, name, sliding_window);
+  }
+  void global_access(const void* arr, index_t base, index_t stride, int n,
+                     bool write) override {
+    (write ? writes : reads).fetch_add(1, std::memory_order_relaxed);
+    san.global_access(arr, base, stride, n, write);
+  }
+  void global_oob(const void* arr, index_t base, index_t stride, int n,
+                  std::size_t size, bool write) override {
+    san.global_oob(arr, base, stride, n, size, write);
+  }
+  void global_host_write(const void* arr, index_t i) override {
+    san.global_host_write(arr, i);
+  }
+  void shared_register(long long block, const void* base, std::size_t words,
+                       std::size_t word_bytes) override {
+    san.shared_register(block, base, words, word_bytes);
+  }
+  void shared_access(long long block, const void* addr, int tid, bool write,
+                     std::uint64_t epoch) override {
+    san.shared_access(block, addr, tid, write, epoch);
+  }
+  void block_sync(long long block, std::uint64_t epoch) override {
+    san.block_sync(block, epoch);
+  }
+};
+
+/// Zero hazards. On a single-device engine the sanitizer must also have
+/// seen every global access: its count of observed loads and stores equals
+/// the counter's transactions, so no access (say, one on the chassis'
+/// interior fast path) slips past it.
 template <class EngT, class Workload>
 void expect_clean_run(EngT& eng, const Workload& w, int steps,
                       const char* what) {
-  Sanitizer san;
+  CountingSanitizer san;
   eng.set_sanitizer(&san);
   w.attach(eng);
+  const Profiler* prof = eng.profiler();
+  const gpusim::TrafficSnapshot before =
+      prof != nullptr ? prof->total_traffic() : gpusim::TrafficSnapshot{};
   eng.run(steps);
-  const SanitizerReport r = san.report();
+  const SanitizerReport r = san.san.report();
   EXPECT_TRUE(r.clean()) << what << ":\n" << r.to_string();
+  if (prof != nullptr) {
+    const gpusim::TrafficSnapshot moved = prof->total_traffic() - before;
+    EXPECT_GT(moved.reads, 0u) << what;
+    EXPECT_EQ(san.reads.load(), moved.reads) << what;
+    EXPECT_EQ(san.writes.load(), moved.writes) << what;
+  }
   eng.set_sanitizer(nullptr);
 }
 
@@ -486,6 +551,14 @@ TEST(SanitizerCleanMatrix, D2Q9TaylorGreenAllEngines) {
   {
     AaEngine<D2Q9, float> e(tg.geo, tau);
     expect_clean_run(e, tg, 4, "AA fp32");
+  }
+  {
+    EpEngine<D2Q9> e(tg.geo, tau);
+    expect_clean_run(e, tg, 4, "EP fp64");
+  }
+  {
+    EpEngine<D2Q9, float> e(tg.geo, tau);
+    expect_clean_run(e, tg, 4, "EP fp32");
   }
   for (const auto storage :
        {MomentStorage::kPingPong, MomentStorage::kCircularShift}) {
@@ -514,6 +587,14 @@ TEST(SanitizerCleanMatrix, D3Q19TaylorGreen) {
   {
     StEngine<D3Q19> e(tg.geo, tau);
     expect_clean_run(e, tg, 2, "ST pull 3D fp64");
+  }
+  {
+    AaEngine<D3Q19> e(tg.geo, tau);
+    expect_clean_run(e, tg, 2, "AA 3D fp64");
+  }
+  {
+    EpEngine<D3Q19> e(tg.geo, tau);
+    expect_clean_run(e, tg, 2, "EP 3D fp64");
   }
   {
     MrEngine<D3Q19> e(tg.geo, tau, Regularization::kProjective,

@@ -16,9 +16,17 @@
 // panels reorder node processing but perform the scalar path's loads, stores
 // and arithmetic per node, so fields AND all four traffic counters must be
 // identical — not merely the byte totals.
+//
+// And it binds the interior fast path of the dense chassis launches
+// (docs/algorithms.md §16): all-interior nodes run the same gather/scatter
+// maps through bare element access and a register tally, so a run on it must
+// match a run forced onto the per-access path (unique-read tracking on) in
+// every field bit and every counter, step by step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "analysis/sanitizer/sanitizer.hpp"
 #include "engines/aa_engine.hpp"
@@ -321,6 +329,123 @@ TEST(ExecInvariance, LanePathSanitizerClean) {
                                                      : "MR-R circular lanes");
   }
 }
+
+// ------------------------------------------------- Interior fast path
+// `fast` runs whatever path the chassis picks (interior nodes on the fast
+// path); `inst` is forced onto the instrumented per-access path by
+// unique-read tracking, which needs every access one by one. After every
+// step the fields must be bit-identical and the step's TrafficSnapshot
+// equal in all four fields; at the end, every KernelRecord's traffic.
+
+template <class L, class W>
+void expect_fast_path_invariant(Engine<L>& fast, Engine<L>& inst, const W& w,
+                                int steps, bool split) {
+  w.attach(fast);
+  w.attach(inst);
+  inst.set_unique_read_tracking(true);
+  for (int s = 0; s < steps; ++s) {
+    SCOPED_TRACE("step " + std::to_string(s));
+    const auto tf = traffic_of_run<L>(fast, 1, split);
+    const auto ti = traffic_of_run<L>(inst, 1, split);
+    EXPECT_EQ(tf.bytes_read, ti.bytes_read);
+    EXPECT_EQ(tf.bytes_written, ti.bytes_written);
+    EXPECT_EQ(tf.reads, ti.reads);
+    EXPECT_EQ(tf.writes, ti.writes);
+    expect_fields_identical<L>(fast, inst);
+  }
+  std::map<std::string, gpusim::TrafficSnapshot> rf;
+  for (const auto& r : fast.profiler()->all_records()) rf[r.name] = r.traffic;
+  const auto ri = inst.profiler()->all_records();
+  EXPECT_EQ(rf.size(), ri.size());
+  for (const auto& r : ri) {
+    SCOPED_TRACE("record " + r.name);
+    ASSERT_EQ(rf.count(r.name), 1u);
+    const gpusim::TrafficSnapshot& t = rf[r.name];
+    EXPECT_EQ(t.bytes_read, r.traffic.bytes_read);
+    EXPECT_EQ(t.bytes_written, r.traffic.bytes_written);
+    EXPECT_EQ(t.reads, r.traffic.reads);
+    EXPECT_EQ(t.writes, r.traffic.writes);
+  }
+}
+
+/// ST pull, ST push, AA and EP on workload `w`, batched and scalar I/O
+/// (ST, AA; EP moves no spans), whole steps and frontier/interior split
+/// steps, scalar and lane execution. 40 threads per block: blocks start
+/// mid-row, so x-runs are split at block edges as well as at the faces.
+/// `sparse`: `w` carries solids (tile launches; ST push rejects them).
+template <class L, class ST, class W>
+void fast_path_matrix(const W& w, bool sparse) {
+  const real_t tau = 0.8;
+  const int tpb = 40;
+  const int steps = 4;  // both parities of AA and EP
+  for (const bool split : {false, true}) {
+    for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+      for (const bool batched : {true, false}) {
+        SCOPED_TRACE(std::string(split ? "split " : "whole ") +
+                     to_string(exec) + (batched ? " batched" : " scalar-io"));
+        for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
+          if (sparse && mode == StreamMode::kPush) continue;
+          SCOPED_TRACE(mode == StreamMode::kPull ? "ST pull" : "ST push");
+          StEngine<L, ST> fast(w.geo, tau, CollisionScheme::kRecursive, tpb,
+                               mode, exec);
+          StEngine<L, ST> inst(w.geo, tau, CollisionScheme::kRecursive, tpb,
+                               mode, exec);
+          fast.set_batched_io(batched);
+          inst.set_batched_io(batched);
+          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
+        }
+        {
+          SCOPED_TRACE("AA");
+          AaEngine<L, ST> fast(w.geo, tau, CollisionScheme::kProjective, tpb,
+                               exec);
+          AaEngine<L, ST> inst(w.geo, tau, CollisionScheme::kProjective, tpb,
+                               exec);
+          fast.set_batched_io(batched);
+          inst.set_batched_io(batched);
+          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
+        }
+        if (batched) {
+          SCOPED_TRACE("EP");
+          EpEngine<L, ST> fast(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
+          EpEngine<L, ST> inst(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
+          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
+        }
+      }
+    }
+  }
+}
+
+/// The three geometries: periodic Taylor-Green, a moving-lid cavity (walls
+/// on every face, moving-wall branches), and a Taylor-Green box with a solid
+/// block (solids make the geometry tile-compressed, so this row pins that
+/// the fast path leaves tile launches alone).
+template <class L, class ST>
+void fast_path_geometries(int n) {
+  const int nz = L::D == 3 ? n : 1;
+  {
+    SCOPED_TRACE("taylor-green");
+    fast_path_matrix<L, ST>(TaylorGreen<L>::create(n, 0.03, nz), false);
+  }
+  {
+    SCOPED_TRACE("cavity");
+    fast_path_matrix<L, ST>(LidDrivenCavity<L>::create(n, 0.1), false);
+  }
+  {
+    SCOPED_TRACE("solids");
+    auto tg = TaylorGreen<L>::create(n, 0.03, nz);
+    for (int z = 0; z < (L::D == 3 ? 2 : 1); ++z) {
+      for (int y = 0; y < 2; ++y) {
+        for (int x = 0; x < 2; ++x) tg.geo.set_solid(n / 2 + x, n / 2 + y, z);
+      }
+    }
+    fast_path_matrix<L, ST>(tg, true);
+  }
+}
+
+TEST(FastPathInvariance, D2Q9Fp64) { fast_path_geometries<D2Q9, double>(16); }
+TEST(FastPathInvariance, D2Q9Fp32) { fast_path_geometries<D2Q9, float>(16); }
+TEST(FastPathInvariance, D3Q19Fp64) { fast_path_geometries<D3Q19, double>(8); }
+TEST(FastPathInvariance, D3Q19Fp32) { fast_path_geometries<D3Q19, float>(8); }
 
 }  // namespace
 }  // namespace mlbm
