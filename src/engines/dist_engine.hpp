@@ -73,7 +73,6 @@ class DistEngine : public Engine<L> {
   [[nodiscard]] const char* pattern_name() const override {
     return addr_.name();
   }
-  void initialize(const typename Engine<L>::InitFn& init) override;
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override {

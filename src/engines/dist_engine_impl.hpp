@@ -117,20 +117,6 @@ void DistEngine<L, ST, A>::build_rim_index() {
 }
 
 template <class L, class ST, class A>
-void DistEngine<L, ST, A>::initialize(const typename Engine<L>::InitFn& init) {
-  const Box& b = this->geo_.box;
-  const bool solids = this->geo_.has_solids();
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        if (solids && this->geo_.solid(x, y, z)) continue;
-        impose(x, y, z, init(x, y, z));
-      }
-    }
-  }
-}
-
-template <class L, class ST, class A>
 Moments<L> DistEngine<L, ST, A>::moments_at(int x, int y, int z) const {
   if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
     return solid_moments<L>();

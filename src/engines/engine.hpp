@@ -92,8 +92,20 @@ class Engine {
   [[nodiscard]] virtual const char* pattern_name() const = 0;
 
   /// Sets the full state of every node; `pi` of the returned moments is the
-  /// complete second moment (use rho*u*u for an equilibrium start).
-  virtual void initialize(const InitFn& init) = 0;
+  /// complete second moment (use rho*u*u for an equilibrium start). Solid
+  /// nodes hold no state and are skipped.
+  virtual void initialize(const InitFn& init) {
+    const Box& b = geo_.box;
+    const bool solids = geo_.has_solids();
+    for (int z = 0; z < b.nz; ++z) {
+      for (int y = 0; y < b.ny; ++y) {
+        for (int x = 0; x < b.nx; ++x) {
+          if (solids && geo_.solid(x, y, z)) continue;
+          impose(x, y, z, init(x, y, z));
+        }
+      }
+    }
+  }
 
   /// Full hydrodynamic state of one node at the current time.
   [[nodiscard]] virtual Moments<L> moments_at(int x, int y, int z) const = 0;

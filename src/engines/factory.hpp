@@ -8,8 +8,8 @@
 // to the right instantiation behind the type-erasing Engine<L> interface.
 //
 // Every lattice x {double, float} instantiation is already compiled into the
-// library (dist_engine_<lattice>.cpp, mr_engine.cpp), so these templates add
-// no object code beyond the dispatch.
+// library (dist_engine_<lattice>.cpp, mr_engine_<lattice>.cpp), so these
+// templates add no object code beyond the dispatch.
 #pragma once
 
 #include <memory>

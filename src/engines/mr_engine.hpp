@@ -87,16 +87,16 @@ class MrEngine final : public Engine<L> {
  public:
   using StorageT = ST;
 
-  /// `exec` selects the scalar or lane-batched kernel body: lane mode runs
-  /// phase A's moment collide + reconstruction and phase B's re-projection
-  /// over SoA panels of kLaneWidth nodes (bit-identical; same traffic).
+  /// One kernel body walks its nodes in panels; `exec` selects the panel
+  /// width (1, or kLaneWidth nodes in SoA lanes) and with it only the moment
+  /// arithmetic: phase A's reconstruction and phase B's re-projection
+  /// (bit-identical; same traffic).
   MrEngine(Geometry geo, real_t tau, Regularization scheme,
            MrConfig config = {}, ExecMode exec = default_exec_mode());
 
   [[nodiscard]] const char* pattern_name() const override {
     return scheme_ == Regularization::kProjective ? "MR-P" : "MR-R";
   }
-  void initialize(const typename Engine<L>::InitFn& init) override;
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override;
@@ -234,26 +234,34 @@ class MrEngine final : public Engine<L> {
   static constexpr int NP = Moments<L>::NP;
   static constexpr int M = L::M;
 
-  /// Sweep-axis extent and ring capacity (circular shift).
+  /// Flat element of moment `m` of the node with compressed column id `col`
+  /// at physical layer `sp` — the one node-address function of the moment
+  /// lattice, used by the host accessors and the kernel alike.
+  struct MomentIndex {
+    index_t layers;
+    index_t ncols;
+    [[nodiscard]] index_t operator()(int m, index_t col, int sp) const {
+      return (static_cast<index_t>(m) * layers + sp) * ncols + col;
+    }
+    /// Element stride between consecutive moments of one node.
+    [[nodiscard]] index_t stride() const { return layers * ncols; }
+  };
+
+  /// Sweep-axis extent.
   [[nodiscard]] int sweep_extent() const;
+  /// Physical sweep layers of one moment lattice: S (ping-pong) or the
+  /// circular shift's S + 2.
+  [[nodiscard]] int layers() const;
+  [[nodiscard]] MomentIndex moment_index() const { return {layers(), ncols_}; }
   /// Physical sweep layer of logical layer `s` at timestep `t`.
   [[nodiscard]] int phys_layer(int s, long long t) const;
-  /// Compressed column id of cross-section position (cx0, cx1): the flat
-  /// cross index when dense, the column-map entry when sparse (-1 for
-  /// unallocated all-solid columns). Host-side (uncounted).
-  [[nodiscard]] index_t col_of(int cx0, int cx1) const;
-  /// Flat index of moment `m` of node (cx0, cx1, s) with physical layer `sp`.
-  [[nodiscard]] index_t midx(int m, int cx0, int cx1, int sp) const;
-
-  [[nodiscard]] Moments<L> read_moments_raw(int cx0, int cx1, int s,
-                                            long long t) const;
-  void write_moments_raw(int cx0, int cx1, int s, long long t,
-                         const Moments<L>& m);
+  /// Compressed column id (the flat cross index when dense, the column-map
+  /// entry when sparse) and physical layer of in-domain node (x, y, z) at
+  /// the current step. Host-side (uncounted).
+  [[nodiscard]] std::pair<index_t, int> host_node(int x, int y, int z) const;
 
   void ensure_records();
   void ensure_frontier_record();
-  /// Number of column tiles along cross axis 0 (x).
-  [[nodiscard]] int tiles_x() const;
   /// One level-synced launch covering column tiles [c0_begin,
   /// c0_begin + c0_count) along x; the full range is the monolithic step.
   /// Does not flip the ping-pong side.

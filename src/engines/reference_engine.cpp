@@ -28,18 +28,6 @@ const char* ReferenceEngine<L>::pattern_name() const {
 }
 
 template <class L>
-void ReferenceEngine<L>::initialize(const typename Engine<L>::InitFn& init) {
-  const Box& b = this->geo_.box;
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        impose(x, y, z, init(x, y, z));
-      }
-    }
-  }
-}
-
-template <class L>
 Moments<L> ReferenceEngine<L>::moments_at(int x, int y, int z) const {
   if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
     return solid_moments<L>();

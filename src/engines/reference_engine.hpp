@@ -28,7 +28,6 @@ class ReferenceEngine final : public Engine<L> {
   ReferenceEngine(Geometry geo, real_t tau, CollisionScheme scheme);
 
   [[nodiscard]] const char* pattern_name() const override;
-  void initialize(const typename Engine<L>::InitFn& init) override;
   [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
   void impose(int x, int y, int z, const Moments<L>& m) override;
   [[nodiscard]] std::size_t state_bytes() const override;

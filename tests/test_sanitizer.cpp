@@ -504,28 +504,38 @@ class CountingSanitizer final : public gpusim::SanitizerHook {
   }
 };
 
-/// Zero hazards. On a single-device engine the sanitizer must also have
-/// seen every global access: its count of observed loads and stores equals
-/// the counter's transactions, so no access (say, one on the chassis'
-/// interior fast path) slips past it.
+/// Traffic counted so far: the engine's own profiler, or the sum over the
+/// slab engines' profilers of a decomposed engine (which has none).
+template <class L>
+gpusim::TrafficSnapshot counted_traffic(const Engine<L>& eng) {
+  return eng.profiler()->total_traffic();
+}
+template <class L>
+gpusim::TrafficSnapshot counted_traffic(const MultiDomainEngine<L>& eng) {
+  gpusim::TrafficSnapshot t;
+  for (int d = 0; d < eng.devices(); ++d) {
+    t += eng.device_engine(d).profiler()->total_traffic();
+  }
+  return t;
+}
+
+/// Zero hazards, and the sanitizer must also have seen every global access:
+/// its count of observed loads and stores equals the counted transactions,
+/// so no access (say, one on the chassis' interior fast path) slips past it.
 template <class EngT, class Workload>
 void expect_clean_run(EngT& eng, const Workload& w, int steps,
                       const char* what) {
   CountingSanitizer san;
   eng.set_sanitizer(&san);
   w.attach(eng);
-  const Profiler* prof = eng.profiler();
-  const gpusim::TrafficSnapshot before =
-      prof != nullptr ? prof->total_traffic() : gpusim::TrafficSnapshot{};
+  const gpusim::TrafficSnapshot before = counted_traffic(eng);
   eng.run(steps);
   const SanitizerReport r = san.san.report();
   EXPECT_TRUE(r.clean()) << what << ":\n" << r.to_string();
-  if (prof != nullptr) {
-    const gpusim::TrafficSnapshot moved = prof->total_traffic() - before;
-    EXPECT_GT(moved.reads, 0u) << what;
-    EXPECT_EQ(san.reads.load(), moved.reads) << what;
-    EXPECT_EQ(san.writes.load(), moved.writes) << what;
-  }
+  const gpusim::TrafficSnapshot moved = counted_traffic(eng) - before;
+  EXPECT_GT(moved.reads, 0u) << what;
+  EXPECT_EQ(san.reads.load(), moved.reads) << what;
+  EXPECT_EQ(san.writes.load(), moved.writes) << what;
   eng.set_sanitizer(nullptr);
 }
 
@@ -620,6 +630,9 @@ TEST(SanitizerCleanMatrix, MultiDomainChannel) {
   const auto ch = Channel<D2Q9>::create(20, 10, 1, tau, 0.04);
   const auto multi = make_multi_engine<D2Q9>(EngineSpec{}, ch.geo, tau, 2);
   expect_clean_run(*multi, ch, 3, "MultiDomain 2x ST channel");
+  const auto mrp =
+      make_multi_engine<D2Q9>(EngineSpec::parse("mr-p"), ch.geo, tau, 2);
+  expect_clean_run(*mrp, ch, 3, "MultiDomain 2x MR-P channel");
 }
 
 // ---------------------------------------------------------------------------

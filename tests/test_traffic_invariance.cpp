@@ -33,11 +33,27 @@
 #include "engines/ep_engine.hpp"
 #include "engines/mr_engine.hpp"
 #include "engines/st_engine.hpp"
+#include "multidev/multi_domain.hpp"
 #include "workloads/cavity.hpp"
+#include "workloads/channel.hpp"
+#include "workloads/porous_plug.hpp"
 #include "workloads/taylor_green.hpp"
 
 namespace mlbm {
 namespace {
+
+/// Traffic counted so far by the engine: a decomposed engine has no
+/// profiler of its own, so sum its slab engines'.
+template <class L>
+gpusim::TrafficSnapshot total_traffic(const Engine<L>& eng) {
+  const auto* multi = dynamic_cast<const MultiDomainEngine<L>*>(&eng);
+  if (multi == nullptr) return eng.profiler()->total_traffic();
+  gpusim::TrafficSnapshot t;
+  for (int d = 0; d < multi->devices(); ++d) {
+    t += multi->device_engine(d).profiler()->total_traffic();
+  }
+  return t;
+}
 
 /// Steps the engine and returns the traffic it generated while stepping
 /// (initialization goes through uncounted raw access, but be explicit).
@@ -45,7 +61,7 @@ namespace {
 template <class L>
 gpusim::TrafficSnapshot traffic_of_run(Engine<L>& eng, int steps,
                                        bool split = false) {
-  const auto before = eng.profiler()->total_traffic();
+  const auto before = total_traffic(eng);
   for (int s = 0; s < steps; ++s) {
     if (split) {
       eng.step_split(FrontierSpec{2, 2}, [] {});
@@ -53,7 +69,7 @@ gpusim::TrafficSnapshot traffic_of_run(Engine<L>& eng, int steps,
       eng.step();
     }
   }
-  return eng.profiler()->total_traffic() - before;
+  return total_traffic(eng) - before;
 }
 
 /// Exact (not tolerance-based) comparison of every stored moment.
@@ -208,6 +224,51 @@ void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes, const W& tg,
   expect_fields_identical<L>(scalar, lanes);
 }
 
+/// MR-P and MR-R, scalar vs lanes, on workload `w`: both storage policies,
+/// batched and per-component moment I/O. `ndev` > 1 runs each engine as a
+/// slab decomposition along x, whose interface faces are open faces the
+/// kernel's open-hole path serves every step.
+template <class L, class ST, class W>
+void mr_exec_invariance_matrix(const W& w, int steps, int ndev = 1) {
+  const real_t tau = 0.8;
+  const MrConfig cfg = (L::D == 2) ? MrConfig{8, 1, 2} : MrConfig{4, 4, 1};
+  for (const Regularization reg :
+       {Regularization::kProjective, Regularization::kRecursive}) {
+    for (const MomentStorage storage :
+         {MomentStorage::kPingPong, MomentStorage::kCircularShift}) {
+      for (const bool batched : {true, false}) {
+        const bool p = reg == Regularization::kProjective;
+        SCOPED_TRACE(std::string(p ? "MR-P " : "MR-R ") + to_string(storage) +
+                     (batched ? " batched" : " scalar-io"));
+        MrConfig c = cfg;
+        c.storage = storage;
+        const auto make = [&](Geometry g, ExecMode exec) {
+          auto e = std::make_unique<MrEngine<L, ST>>(std::move(g), tau, reg, c,
+                                                     exec);
+          e->set_batched_io(batched);
+          return e;
+        };
+        std::unique_ptr<Engine<L>> scalar;
+        std::unique_ptr<Engine<L>> lanes;
+        if (ndev == 1) {
+          scalar = make(w.geo, ExecMode::kScalar);
+          lanes = make(w.geo, ExecMode::kLanes);
+        } else {
+          for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+            (exec == ExecMode::kScalar ? scalar : lanes) =
+                std::make_unique<MultiDomainEngine<L>>(
+                    w.geo, tau, ndev,
+                    [&](Geometry g, int) -> std::unique_ptr<Engine<L>> {
+                      return make(std::move(g), exec);
+                    });
+          }
+        }
+        expect_exec_invariant<L>(*scalar, *lanes, w, steps);
+      }
+    }
+  }
+}
+
 /// Every gpusim engine, scalar vs lanes, on workload `tg` (periodic
 /// Taylor-Green, or a lid-driven cavity whose moving wall runs the
 /// cu_wall branch of every gather and scatter).
@@ -239,23 +300,7 @@ void exec_invariance_matrix(const W& tg, int steps) {
                           ExecMode::kLanes);
     expect_exec_invariant<L>(scalar, lanes, tg, steps + (steps % 2), split);
   }
-  const MrConfig cfg =
-      (L::D == 2) ? MrConfig{8, 1, 2} : MrConfig{4, 4, 1};
-  MrConfig circ = cfg;
-  circ.storage = MomentStorage::kCircularShift;
-  for (const Regularization reg :
-       {Regularization::kProjective, Regularization::kRecursive}) {
-    {
-      MrEngine<L, ST> scalar(tg.geo, tau, reg, cfg, ExecMode::kScalar);
-      MrEngine<L, ST> lanes(tg.geo, tau, reg, cfg, ExecMode::kLanes);
-      expect_exec_invariant<L>(scalar, lanes, tg, steps);
-    }
-    {
-      MrEngine<L, ST> scalar(tg.geo, tau, reg, circ, ExecMode::kScalar);
-      MrEngine<L, ST> lanes(tg.geo, tau, reg, circ, ExecMode::kLanes);
-      expect_exec_invariant<L>(scalar, lanes, tg, steps);
-    }
-  }
+  mr_exec_invariance_matrix<L, ST>(tg, steps);
 }
 
 TEST(ExecInvariance, D2Q9Fp64LanesMatchScalarBitExact) {
@@ -282,6 +327,51 @@ TEST(ExecInvariance, D3Q19Fp32LanesMatchScalarBitExact) {
       TaylorGreen<D3Q19>::create(8, 0.03, 8), 3);
   exec_invariance_matrix<D3Q19, float>(
       LidDrivenCavity<D3Q19>::create(8, 0.1), 3);
+}
+
+// MR's cold paths: porous sparse plugs (column map, unallocated all-solid
+// columns, solid source skips and solid bounces, plus an open inlet and
+// outlet), an open channel (open-hole fills on the cross faces) and a
+// 2-slab decomposition (open interface faces on every slab).
+template <class L, class ST>
+void mr_cold_path_inputs(int n) {
+  const int nz = L::D == 3 ? n : 1;
+  {
+    SCOPED_TRACE("porous sparse");
+    auto pp = PorousPlug<L>::create(2 * n, n, nz, 0.8, 0.02, 0.3, 7, 2);
+    // One all-solid column inside the plug: an unallocated column id.
+    for (int s = 0; s < (L::D == 2 ? n : nz); ++s) {
+      if (L::D == 2) {
+        pp.geo.set_solid(n, s, 0);
+      } else {
+        pp.geo.set_solid(n, n / 2, s);
+      }
+    }
+    mr_exec_invariance_matrix<L, ST>(pp, 3);
+  }
+  {
+    SCOPED_TRACE("open channel");
+    mr_exec_invariance_matrix<L, ST>(
+        Channel<L>::create(2 * n, n, nz, 0.8, 0.04), 3);
+  }
+  {
+    SCOPED_TRACE("2 slabs");
+    mr_exec_invariance_matrix<L, ST>(
+        Channel<L>::create(2 * n, n, nz, 0.8, 0.04), 3, 2);
+  }
+}
+
+TEST(ExecInvariance, MrColdPathsD2Q9Fp64) {
+  mr_cold_path_inputs<D2Q9, double>(12);
+}
+TEST(ExecInvariance, MrColdPathsD2Q9Fp32) {
+  mr_cold_path_inputs<D2Q9, float>(12);
+}
+TEST(ExecInvariance, MrColdPathsD3Q19Fp64) {
+  mr_cold_path_inputs<D3Q19, double>(8);
+}
+TEST(ExecInvariance, MrColdPathsD3Q19Fp32) {
+  mr_cold_path_inputs<D3Q19, float>(8);
 }
 
 // Odd domain extents force partially-filled panels on every row; the ragged
