@@ -21,8 +21,7 @@ std::array<int, 3> neg(const std::array<int, 3>& c) {
 
 }  // namespace
 
-EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
-                           bool batched_io) {
+EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push) {
   EngineContract ec;
   ec.pattern = push ? "ST-push" : "ST";
   ec.elem_bytes = elem_bytes;
@@ -48,7 +47,7 @@ EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
     AccessDesc rd;
     rd.array = 0;
     rd.comps = iota_comps(lat.q);
-    rd.span = batched_io;
+    rd.span = true;
     k.accesses.push_back(rd);
     for (int i = 0; i < lat.q; ++i) {
       AccessDesc wr;
@@ -72,7 +71,7 @@ EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
     wr.array = 1;
     wr.write = true;
     wr.comps = iota_comps(lat.q);
-    wr.span = batched_io;
+    wr.span = true;
     k.accesses.push_back(wr);
   }
   ec.node_kernels.push_back(std::move(k));
@@ -80,7 +79,7 @@ EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
   return ec;
 }
 
-EngineContract aa_contract(LatticeDesc lat, int elem_bytes, bool batched_io) {
+EngineContract aa_contract(LatticeDesc lat, int elem_bytes) {
   EngineContract ec;
   ec.pattern = "ST-AA";
   ec.elem_bytes = elem_bytes;
@@ -101,7 +100,7 @@ EngineContract aa_contract(LatticeDesc lat, int elem_bytes, bool batched_io) {
     AccessDesc rd;
     rd.array = 0;
     rd.comps = iota_comps(lat.q);
-    rd.span = batched_io;
+    rd.span = true;
     even.accesses.push_back(rd);
     AccessDesc wr = rd;
     wr.write = true;
@@ -195,7 +194,7 @@ EngineContract ep_contract(LatticeDesc lat, int elem_bytes) {
 
 EngineContract mr_contract(LatticeDesc lat, int elem_bytes, bool projective,
                            bool single_buffer, int tile_x, int tile_y,
-                           int tile_s, bool batched_io, int write_behind,
+                           int tile_s, int write_behind,
                            int ring_shift_bias, bool barrier_between_phases,
                            int cross_halo) {
   EngineContract ec;
@@ -227,11 +226,11 @@ EngineContract mr_contract(LatticeDesc lat, int elem_bytes, bool projective,
 
   rk.src_load.array = 0;
   rk.src_load.comps = iota_comps(lat.m);
-  rk.src_load.span = batched_io;
+  rk.src_load.span = true;
   rk.dst_store.array = single_buffer ? 0 : 1;
   rk.dst_store.write = true;
   rk.dst_store.comps = iota_comps(lat.m);
-  rk.dst_store.span = batched_io;
+  rk.dst_store.span = true;
 
   ec.ring_kernels.push_back(std::move(rk));
   ec.lattice = std::move(lat);
@@ -243,7 +242,7 @@ std::vector<std::string> applicable_mutations(const EngineContract& c) {
   if (c.empty()) return out;
   out.emplace_back("shrunk-ghost-depth");
   // Span widening only applies to contracts that batch I/O somewhere; the
-  // EP pattern (and scalar-I/O validation contracts) are span-free.
+  // EP pattern is span-free.
   bool has_span = !c.ring_kernels.empty();
   for (const auto& nk : c.node_kernels) {
     for (const auto& a : nk.accesses) has_span = has_span || a.span;

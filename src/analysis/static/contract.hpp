@@ -147,16 +147,14 @@ struct EngineContract {
 
 // ---- canonical contract builders ------------------------------------------
 // Shared by the engine access_contract() overrides and by mlbm-verify's
-// mutation harness (which edits the result). `batched_io` mirrors the
-// engine's span-vs-scalar validation hook; default probes use spans.
+// mutation harness (which edits the result). Node-local population and
+// moment vectors always move as one span transaction.
 
 /// ST pull or push (two-lattice, one thread per node).
-EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push,
-                           bool batched_io = true);
+EngineContract st_contract(LatticeDesc lat, int elem_bytes, bool push);
 
 /// AA in-place (single lattice, even/odd kernel flavours, 2-step cycle).
-EngineContract aa_contract(LatticeDesc lat, int elem_bytes,
-                           bool batched_io = true);
+EngineContract aa_contract(LatticeDesc lat, int elem_bytes);
 
 /// Esoteric Pull in-place (single lattice, paired-direction even/odd slot
 /// maps, 2-step cycle; scalar-only accesses — the gather and scatter each
@@ -170,8 +168,8 @@ EngineContract ep_contract(LatticeDesc lat, int elem_bytes);
 /// (and mlbm-verify's mutations) perturb.
 EngineContract mr_contract(LatticeDesc lat, int elem_bytes, bool projective,
                            bool single_buffer, int tile_x, int tile_y,
-                           int tile_s, bool batched_io = true,
-                           int write_behind = 2, int ring_shift_bias = 0,
+                           int tile_s, int write_behind = 2,
+                           int ring_shift_bias = 0,
                            bool barrier_between_phases = true,
                            int cross_halo = 1);
 

@@ -156,9 +156,13 @@ inline constexpr MomentProjection<L> kMomentProjection =
 /// Projects a distribution onto its first three Hermite moments
 /// (Eqs. 1-3 of the paper). Each component is the ascending-i sum of
 /// coefficient x f_i, exactly as the naive nested loop computes it — the
-/// table form only removes the per-call coefficient recomputation.
+/// table form only removes the per-call coefficient recomputation. Always
+/// inlined: a kernel must not call whichever out-of-line copy the linker
+/// keeps, since that copy's code depends on link order and on another TU's
+/// flags.
 template <class L>
-Moments<L> compute_moments(const real_t (&f)[L::Q]) {
+[[gnu::always_inline]] inline Moments<L> compute_moments(
+    const real_t (&f)[L::Q]) {
   const auto& t = detail::kMomentProjection<L>;
   Moments<L> m;
   real_t rho = 0;

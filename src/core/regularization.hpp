@@ -318,7 +318,10 @@ class Reconstructor {
   static constexpr int NP = SymPairs<L::D>::N;
   using HS = HermiteSparsity<L>;
 
-  Reconstructor(real_t rho, const real_t* u, const real_t* pineq)
+  /// Always inlined, like compute_moments (moments.hpp), so no kernel runs
+  /// a link-order-dependent out-of-line copy.
+  [[gnu::always_inline]] Reconstructor(real_t rho, const real_t* u,
+                                       const real_t* pineq)
       : rho_(rho) {
     for (int a = 0; a < L::D; ++a) {
       rho_u_[a] = rho * u[a];

@@ -61,9 +61,6 @@ class AaEngine final : public DistEngine<L, ST, AaAddressing> {
     }
     Base::initialize(init);
   }
-
-  using Base::batched_io;
-  using Base::set_batched_io;
 };
 
 }  // namespace mlbm

@@ -73,14 +73,13 @@ struct Layout {
 };
 
 /// Per-launch operands of a flavour: the layout, the lattice read (`src`)
-/// and written (`dst`; the same array for in-place patterns), the rim, the
-/// batched-I/O switch and the step parity.
+/// and written (`dst`; the same array for in-place patterns), the rim and
+/// the step parity.
 template <class L, class ST>
 struct LatticeView : Layout<L> {
   const gpusim::GlobalArray<ST>* src = nullptr;
   gpusim::GlobalArray<ST>* dst = nullptr;
   gpusim::GlobalArray<real_t>* rim = nullptr;
-  bool batched = true;
   bool even = true;
 };
 
@@ -266,32 +265,24 @@ template <class L>
          inv_cs2;
 }
 
-/// Node-local read of all Q populations of `elem` (one span transaction
-/// when batched); returns their sum, the pre-collision density.
+/// Node-local read of all Q populations of `elem` as one span transaction;
+/// returns their sum, the pre-collision density.
 template <class L, class ST, class Io>
 [[gnu::always_inline]] inline real_t read_own(const LatticeView<L, ST>& v,
                                               Io& io, index_t elem,
                                               real_t (&f)[L::Q]) {
-  if (v.batched) {
-    io.load_span(*v.src, elem, v.elems, L::Q, f);
-  } else {
-    for (int i = 0; i < L::Q; ++i) f[i] = io.load(*v.src, v.soa(i, elem));
-  }
+  io.load_span(*v.src, elem, v.elems, L::Q, f);
   real_t rho = 0;
   for (int i = 0; i < L::Q; ++i) rho += f[i];
   return rho;
 }
 
-/// Node-local write of all Q populations of `elem`.
+/// Node-local write of all Q populations of `elem` as one span transaction.
 template <class L, class ST, class Io>
 [[gnu::always_inline]] inline void write_own(const LatticeView<L, ST>& v,
                                              Io& io, index_t elem,
                                              const real_t (&f)[L::Q]) {
-  if (v.batched) {
-    io.store_span(*v.dst, elem, v.elems, L::Q, f);
-  } else {
-    for (int i = 0; i < L::Q; ++i) io.store(*v.dst, v.soa(i, elem), f[i]);
-  }
+  io.store_span(*v.dst, elem, v.elems, L::Q, f);
 }
 
 /// Push scatter: f*_i into slot i of the downwind node x + c_i; a wall link
@@ -560,10 +551,9 @@ struct StAddressing {
   }
   [[nodiscard]] const char* phase_tag(int) const { return "|"; }
   [[nodiscard]] analysis::EngineContract contract(analysis::LatticeDesc lat,
-                                                  int elem_bytes,
-                                                  bool batched) const {
+                                                  int elem_bytes) const {
     return analysis::st_contract(std::move(lat), elem_bytes,
-                                 mode == StreamMode::kPush, batched);
+                                 mode == StreamMode::kPush);
   }
   template <class L>
   [[nodiscard]] PopSlot locate(const Layout<L>& lay, int, int, int, int,
@@ -604,9 +594,8 @@ struct AaAddressing {
     return phase == 1 ? "|swapped|" : "|plain|";
   }
   [[nodiscard]] analysis::EngineContract contract(analysis::LatticeDesc lat,
-                                                  int elem_bytes,
-                                                  bool batched) const {
-    return analysis::aa_contract(std::move(lat), elem_bytes, batched);
+                                                  int elem_bytes) const {
+    return analysis::aa_contract(std::move(lat), elem_bytes);
   }
   template <class L>
   [[nodiscard]] PopSlot locate(const Layout<L>& lay, int phase, int, int, int,
@@ -649,7 +638,7 @@ struct EpAddressing {
     return phase == 1 ? "|odd|" : "|even|";
   }
   [[nodiscard]] analysis::EngineContract contract(analysis::LatticeDesc lat,
-                                                  int elem_bytes, bool) const {
+                                                  int elem_bytes) const {
     return analysis::ep_contract(std::move(lat), elem_bytes);
   }
   /// f*_i of the node sits where the previous parity's scatter put it:

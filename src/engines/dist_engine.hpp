@@ -8,12 +8,13 @@
 //   * the whole/split/sparse step scheduler: a whole step, a frontier/
 //     interior split step over plane ranges (dense) or tx-sorted tile-list
 //     ranges (sparse), each as one LaunchGroup;
-//   * the launch loops — a plane-range loop in scalar and in lane-panel
-//     form, and a tile loop (one thread per 64-node tile; sparse launches
-//     always run it, whatever the ExecMode) — each generic over the per-node
-//     flavour of the addressing policy `A` (addressing.hpp). The plane-range
-//     loops walk each block as x-runs and run a run's all-interior nodes on
-//     the interior fast path (docs/algorithms.md §16);
+//   * the launch loops — one plane-range walk over panels of W nodes, and a
+//     tile loop (one thread per 64-node tile; sparse launches always run it,
+//     whatever the ExecMode) — each generic over the per-node flavour of the
+//     addressing policy `A` (addressing.hpp). The plane-range walk visits
+//     each block as x-runs and runs a run's all-interior nodes on the
+//     interior fast path (docs/algorithms.md §16); the ExecMode picks only
+//     its panel width W, which only the collision arithmetic depends on;
 //   * the moment convention built from the policy's population map, and the
 //     sanitizer, unique-read, fault-site and raw-state surfaces.
 //
@@ -90,8 +91,7 @@ class DistEngine : public Engine<L> {
 
   /// The policy's declared kernel accesses (analysis/static/contract.hpp).
   [[nodiscard]] analysis::EngineContract access_contract() const override {
-    return addr_.contract(analysis::make_lattice_desc<L>(), sizeof(ST),
-                          batched_io_);
+    return addr_.contract(analysis::make_lattice_desc<L>(), sizeof(ST));
   }
 
   /// Every policy splits cleanly by x-plane: pull-style maps partition by
@@ -103,7 +103,6 @@ class DistEngine : public Engine<L> {
 
   [[nodiscard]] CollisionScheme scheme() const { return scheme_; }
   [[nodiscard]] int threads_per_block() const { return threads_per_block_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
 
   /// Binds the sanitizer to the profiler, the lattices, the rim and the
   /// tile index. Every lattice and rim word a step reads was written by the
@@ -189,8 +188,9 @@ class DistEngine : public Engine<L> {
 
  protected:
   /// `threads_per_block` is the 1D block size of the stream-collide kernel;
-  /// `exec` selects the scalar or lane-panel loop (bit-identical results,
-  /// identical traffic; see core/lanes.hpp).
+  /// `exec` selects the dense walk's panel width, and with it only the
+  /// collision arithmetic (bit-identical results, identical traffic; see
+  /// core/lanes.hpp).
   DistEngine(Geometry geo, real_t tau, CollisionScheme scheme,
              int threads_per_block, ExecMode exec, A addressing);
 
@@ -200,11 +200,6 @@ class DistEngine : public Engine<L> {
       override;
 
   [[nodiscard]] const A& addressing() const { return addr_; }
-  /// Validation hook (ST and AA): route node-local population I/O through
-  /// scalar load/store instead of batched spans. Byte counts are identical
-  /// either way; transaction counts differ by the batch width Q.
-  void set_batched_io(bool on) { batched_io_ = on; }
-  [[nodiscard]] bool batched_io() const { return batched_io_; }
 
  private:
   using View = LatticeView<L, ST>;
@@ -232,13 +227,16 @@ class DistEngine : public Engine<L> {
   /// with an empty interior body whenever the launch needs per-access facts.
   template <class Run>
   void dense_launch(int rx0, int rx1, gpusim::KernelRecord& rec, Run&& run);
-  template <class F>
-  void range_scalar(const View& v, int rx0, int rx1, gpusim::KernelRecord& rec);
-  template <class F>
-  void range_lanes(const View& v, int rx0, int rx1, gpusim::KernelRecord& rec);
-  template <class F, class Links, class Io>
-  void lanes_sweep(const View& v, const Links& links, Io& io, index_t row,
-                   int x0, int x1);
+  /// The dense walk of flavour F in panels of W nodes (1: scalar execution,
+  /// kLaneWidth: lane-batched): boundary heads and tails on the
+  /// instrumented path, all-interior runs on the fast path.
+  template <class F, int W>
+  void range(const View& v, int rx0, int rx1, gpusim::KernelRecord& rec);
+  /// Nodes [x0, x1) of one row through links `links` and accessor `io`;
+  /// `scheme` is compile-time (interior runs) or runtime (boundary nodes).
+  template <class F, int W, class Links, class Io, class Sc>
+  void sweep(const View& v, const Links& links, Io& io, index_t row, int x0,
+             int x1, Sc scheme, real_t tau);
   template <class F>
   void tiles(const View& v, bool mixed, int begin, int count,
              gpusim::KernelRecord& rec);
@@ -259,7 +257,6 @@ class DistEngine : public Engine<L> {
   RimIndex rim_index_;
   Layout<L> layout_;
   TileIndexDev tdev_;
-  bool batched_io_ = true;
   /// Cached records per phase: whole-step and frontier launches over the
   /// plane range (dense) or the fluid tile list, then the mixed-tile pair.
   gpusim::KernelRecord* rec_[A::kPhases][4] = {};

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "engines/dist_engine.hpp"
 
@@ -27,6 +28,31 @@ template <class F, CollisionScheme S, class L, class ST, class Lk, class Io>
   const real_t aux = F::gather(v, lk, io, cell, f);
   collide<L, S>(f, tau);
   F::scatter(v, lk, io, cell, f, aux);
+}
+
+/// Collision of a panel of n <= W gathered nodes, node-major: the only step
+/// of the dense walk that depends on the execution mode. W = 1 is the scalar
+/// operator on the node's registers, W > 1 the lane-major one (core/
+/// lanes.hpp). `scheme` is a compile-time std::integral_constant or a
+/// runtime CollisionScheme.
+template <class L, int W, class Sc>
+[[gnu::always_inline]] inline void collide_panel(Sc scheme,
+                                                 real_t (&f)[W][L::Q], int n,
+                                                 real_t tau) {
+  if constexpr (W > 1) {
+    real_t panel[L::Q][W];
+    for (int ln = 0; ln < n; ++ln) {
+      for (int i = 0; i < L::Q; ++i) panel[i][ln] = f[ln][i];
+    }
+    collide_lanes<L, W>(scheme, panel, n, tau);
+    for (int ln = 0; ln < n; ++ln) {
+      for (int i = 0; i < L::Q; ++i) f[ln][i] = panel[i][ln];
+    }
+  } else if constexpr (std::is_enum_v<Sc>) {
+    collide<L>(scheme, f[0], tau);
+  } else {
+    collide<L, Sc::value>(f[0], tau);
+  }
 }
 
 template <class L>
@@ -291,7 +317,6 @@ typename DistEngine<L, ST, A>::View DistEngine<L, ST, A>::view(int ph) {
   v.src = &f_[cur_];
   v.dst = &f_[A::kLattices - 1 - cur_];
   v.rim = &rim_;
-  v.batched = batched_io_;
   v.even = ph == 0;
   return v;
 }
@@ -303,9 +328,9 @@ void DistEngine<L, ST, A>::run_range(int ph, int rx0, int rx1,
   addr_.visit(ph, [&](auto flavour) {
     using F = decltype(flavour);
     if (exec_ == ExecMode::kLanes) {
-      range_lanes<F>(v, rx0, rx1, rec);
+      range<F, kLaneWidth>(v, rx0, rx1, rec);
     } else {
-      range_scalar<F>(v, rx0, rx1, rec);
+      range<F, 1>(v, rx0, rx1, rec);
     }
   });
 }
@@ -348,9 +373,9 @@ void DistEngine<L, ST, A>::dense_launch(int rx0, int rx1,
 }
 
 template <class L, class ST, class A>
-template <class F>
-void DistEngine<L, ST, A>::range_scalar(const View& v, int rx0, int rx1,
-                                        gpusim::KernelRecord& rec) {
+template <class F, int W>
+void DistEngine<L, ST, A>::range(const View& v, int rx0, int rx1,
+                                 gpusim::KernelRecord& rec) {
   const Geometry& geo = this->geo_;
   const real_t tau = this->tau_;
   const CollisionScheme scheme = scheme_;
@@ -361,89 +386,51 @@ void DistEngine<L, ST, A>::range_scalar(const View& v, int rx0, int rx1,
   dense_launch(rx0, rx1, rec, [&](int xa, int fa, int fb, int xb, int y,
                                   int z) {
     const index_t row = geo.box.idx(0, y, z);
-    // Boundary nodes dispatch the scheme per node: one instantiation of the
+    // Boundary nodes dispatch the scheme per panel: one instantiation of the
     // resolver-heavy body instead of three, for a small share of the nodes.
     addr::CountedIo counted;
-    const auto instrumented = [&](int x0, int x1) {
-      for (int x = x0; x < x1; ++x) {
-        const addr::BoundaryLinks<L, DenseNb> lk{geo, nb, x, y, z};
-        real_t f[L::Q];
-        const real_t aux = F::gather(v, lk, counted, row + x, f);
-        collide<L>(scheme, f, tau);
-        F::scatter(v, lk, counted, row + x, f, aux);
-      }
+    const auto boundary = [&](int x) {
+      return addr::BoundaryLinks<L, DenseNb>{geo, nb, x, y, z};
     };
-    instrumented(xa, fa);
+    sweep<F, W>(v, boundary, counted, row, xa, fa, scheme, tau);
     if (fa < fb) {
       // Interior runs dispatch it once per run (collision.hpp: a node loop
       // carrying all three arms runs slower).
       addr::TallyIo tally;
       dispatch_collision(scheme, [&](auto sc) {
-        for (index_t c = row + fa; c < row + fb; ++c) {
-          stream_collide<F, decltype(sc)::value>(
-              v, addr::InteriorLinks<L>{c, off}, tally, c, tau);
-        }
+        sweep<F, W>(
+            v, [&](int x) { return addr::InteriorLinks<L>{row + x, off}; },
+            tally, row, fa, fb, sc, tau);
       });
       tally.flush(counter);
     }
-    instrumented(fb, xb);
+    sweep<F, W>(v, boundary, counted, row, fb, xb, scheme, tau);
   });
 }
 
 template <class L, class ST, class A>
-template <class F>
-void DistEngine<L, ST, A>::range_lanes(const View& v, int rx0, int rx1,
-                                       gpusim::KernelRecord& rec) {
-  const Geometry& geo = this->geo_;
-  const DenseNb nb{geo.box};
-  index_t off[L::Q];
-  addr::interior_offsets<L>(geo.box, off);
-  gpusim::TrafficCounter& counter = prof_.counter();
-  dense_launch(rx0, rx1, rec, [&](int xa, int fa, int fb, int xb, int y,
-                                  int z) {
-    const index_t row = geo.box.idx(0, y, z);
-    addr::CountedIo counted;
-    const auto boundary = [&](int x) {
-      return addr::BoundaryLinks<L, DenseNb>{geo, nb, x, y, z};
-    };
-    lanes_sweep<F>(v, boundary, counted, row, xa, fa);
-    if (fa < fb) {
-      addr::TallyIo tally;
-      lanes_sweep<F>(
-          v, [&](int x) { return addr::InteriorLinks<L>{row + x, off}; },
-          tally, row, fa, fb);
-      tally.flush(counter);
-    }
-    lanes_sweep<F>(v, boundary, counted, row, fb, xb);
-  });
-}
-
-template <class L, class ST, class A>
-template <class F, class Links, class Io>
-void DistEngine<L, ST, A>::lanes_sweep(const View& v, const Links& links,
-                                       Io& io, index_t row, int x0, int x1) {
-  // Nodes [x0, x1) of one row in SoA panels of kLaneWidth nodes. Gather and
-  // scatter stay per node (the scalar loop's access sequence, panel-
-  // interleaved); collision runs lane-major with SIMD inner loops. For the
-  // in-place policies the reordering is exact because every lattice word
-  // has a unique reader == writer node, so only each node's own
-  // gather-before-scatter order matters, which the panel preserves.
-  for (int p0 = x0; p0 < x1; p0 += kLaneWidth) {
-    const int n = std::min(kLaneWidth, x1 - p0);
-    real_t panel[L::Q][kLaneWidth];
-    real_t aux[kLaneWidth] = {};
+template <class F, int W, class Links, class Io, class Sc>
+void DistEngine<L, ST, A>::sweep(const View& v, const Links& links, Io& io,
+                                 index_t row, int x0, int x1, Sc scheme,
+                                 real_t tau) {
+  // Nodes [x0, x1) of one row in panels of W nodes. Gather and scatter stay
+  // per node (W = 1: the plain per-node sequence; W > 1: panel-interleaved);
+  // only the collision sees the panel width. For the in-place policies the
+  // reordering is exact because every lattice word has a unique reader ==
+  // writer node, so only each node's own gather-before-scatter order
+  // matters, which the panel preserves.
+  for (int p0 = x0; p0 < x1; p0 += W) {
+    const int n = W == 1 ? 1 : std::min(W, x1 - p0);
+    real_t f[W][L::Q];
+    real_t aux[W];
     for (int ln = 0; ln < n; ++ln) {
       const int x = p0 + ln;
-      real_t f[L::Q];
-      aux[ln] = F::gather(v, links(x), io, row + x, f);
-      for (int i = 0; i < L::Q; ++i) panel[i][ln] = f[i];
+      aux[ln] = F::gather(v, links(x), io, row + x, f[ln]);
     }
-    collide_lanes<L, kLaneWidth>(scheme_, panel, n, this->tau_);
+    collide_panel<L, W>(scheme, f, n, tau);
     for (int ln = 0; ln < n; ++ln) {
       const int x = p0 + ln;
-      real_t f[L::Q];
-      for (int i = 0; i < L::Q; ++i) f[i] = panel[i][ln];
-      F::scatter(v, links(x), io, row + x, f, aux[ln]);
+      F::scatter(v, links(x), io, row + x, f[ln], aux[ln]);
     }
   }
 }

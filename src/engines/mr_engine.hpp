@@ -111,7 +111,6 @@ class MrEngine final : public Engine<L> {
 
   [[nodiscard]] Regularization scheme() const { return scheme_; }
   [[nodiscard]] const MrConfig& config() const { return config_; }
-  [[nodiscard]] ExecMode exec_mode() const { return exec_; }
 
   /// Declared sweep-kernel discipline: tile geometry, cross halo, shared
   /// ring capacity and the circular-shift write-behind/shift parameters.
@@ -123,7 +122,7 @@ class MrEngine final : public Engine<L> {
         analysis::make_lattice_desc<L>(), sizeof(ST),
         scheme_ == Regularization::kProjective,
         config_.storage == MomentStorage::kCircularShift, config_.tile_x,
-        config_.tile_y, config_.tile_s, batched_io_, mutation_.write_behind,
+        config_.tile_y, config_.tile_s, mutation_.write_behind,
         mutation_.ring_shift_bias, !mutation_.skip_phase_sync,
         mutation_.shrink_cross_halo ? 0 : 1);
   }
@@ -202,11 +201,6 @@ class MrEngine final : public Engine<L> {
     }
   }
 
-  /// Validation hook: scalar per-component moment I/O instead of batched
-  /// spans. Bytes identical; transactions differ by the batch width M.
-  void set_batched_io(bool on) { batched_io_ = on; }
-  [[nodiscard]] bool batched_io() const { return batched_io_; }
-
   /// Thread-block geometry of the column kernel: (tile_x + 2) x tile_s in 2D,
   /// (tile_x + 2) x (tile_y + 2) x tile_s in 3D (halo threads included).
   [[nodiscard]] int threads_per_block() const;
@@ -275,7 +269,6 @@ class MrEngine final : public Engine<L> {
   /// mom_[0] is allocated (with S+2 sweep layers).
   gpusim::GlobalArray<ST> mom_[2];
   int cur_ = 0;
-  bool batched_io_ = true;
   /// Column compression (sparse only): number of allocated cross-section
   /// columns and the counted cross -> column map. Dense: ncols_ is the full
   /// cross-section and colmap_ stays unallocated.

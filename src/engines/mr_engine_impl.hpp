@@ -360,32 +360,16 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
   const bool skip_phase_sync = mutation_.skip_phase_sync;
   const bool shrink_halo = mutation_.shrink_cross_halo;
   // Counted moment I/O of one node: its M moments leave and arrive as one
-  // batched span at the moment stride, or — with batched I/O off — one
-  // access per component (same bytes, M times the transactions). `ncols`
-  // is the full cross-section when dense, so the dense addresses are the
-  // flat ones.
+  // span transaction at the moment stride. `ncols` is the full cross-section
+  // when dense, so the dense addresses are the flat ones.
   const MomentIndex at = moment_index();
-  const bool batched = batched_io_;
   const auto load_node = [&](index_t col, int sp,
                              real_t (&mom)[M]) MLBM_ALWAYS_INLINE {
-    if (batched) {
-      rbuf.template load_span_as<real_t>(at(0, col, sp), at.stride(), M, mom);
-    } else {
-      for (int m = 0; m < M; ++m) {
-        mom[m] = rbuf.template load_as<real_t>(at(m, col, sp));
-      }
-    }
+    rbuf.template load_span_as<real_t>(at(0, col, sp), at.stride(), M, mom);
   };
   const auto store_node = [&](index_t col, int sp,
                               const real_t (&mom)[M]) MLBM_ALWAYS_INLINE {
-    if (batched) {
-      wbuf.template store_span_as<real_t>(at(0, col, sp), at.stride(), M,
-                                          mom);
-    } else {
-      for (int m = 0; m < M; ++m) {
-        wbuf.template store_as<real_t>(at(m, col, sp), mom[m]);
-      }
-    }
+    wbuf.template store_span_as<real_t>(at(0, col, sp), at.stride(), M, mom);
   };
 
   struct ColState {

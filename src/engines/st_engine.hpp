@@ -41,8 +41,6 @@ class StEngine final : public DistEngine<L, ST, StAddressing> {
   [[nodiscard]] StreamMode stream_mode() const {
     return this->addressing().mode;
   }
-  using Base::batched_io;
-  using Base::set_batched_io;
 };
 
 }  // namespace mlbm

@@ -102,8 +102,10 @@ class FleetScheduler {
     std::size_t bytes = 0;
     /// Engine built but not yet placed (moved into the runner on placement).
     std::unique_ptr<Engine<D2Q9>> unplaced;
-    std::unique_ptr<resilience::ResilientRunner<D2Q9>> runner;
+    /// Declared before the runner, so it outlives the runner, whose
+    /// destructor uninstalls it.
     std::unique_ptr<resilience::FaultInjector> injector;
+    std::unique_ptr<resilience::ResilientRunner<D2Q9>> runner;
     /// Raw-state snapshot at the last committed quantum boundary — the
     /// migration unit.
     resilience::StateSnapshot<D2Q9> boundary;

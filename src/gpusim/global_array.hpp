@@ -150,14 +150,6 @@ class GlobalArray {
     for (int k = 0; k < n; ++k, p += stride) *p = static_cast<T>(src[k]);
   }
 
-  /// Storage-typed batched load/store (the pre-policy interface).
-  void load_span(index_t base, index_t stride, int n, T* dst) const {
-    load_span_as<T>(base, stride, n, dst);
-  }
-  void store_span(index_t base, index_t stride, int n, const T* src) {
-    store_span_as<T>(base, stride, n, src);
-  }
-
   /// Host access: NOT counted (initialization, result inspection). The
   /// mutable form conservatively marks the element host-written for the
   /// sanitizer's initcheck/staleness shadows — it is the cudaMemcpy path

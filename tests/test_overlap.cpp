@@ -489,12 +489,13 @@ TEST(OverlapResilience, HaloFaultRollbackReplayStaysBitIdentical) {
   ResilientRunner<D2Q9> clean(make(), rc);
   clean.run(24);
 
-  ResilientRunner<D2Q9> faulted(make(), rc);
   FaultConfig fc;
   fc.seed = 11;
   fc.halo_corrupt_rate = 0.15;
   fc.step_end = 16;
+  // The injector outlives the runner, whose destructor uninstalls it.
   FaultInjector inj(fc);
+  ResilientRunner<D2Q9> faulted(make(), rc);
   faulted.set_fault_injector(&inj);
   const auto rep = faulted.run(24);
 

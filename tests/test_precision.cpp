@@ -44,8 +44,8 @@ TEST(GlobalArrayPrecision, NullCounterArrayIsSafeAndCountsNothing) {
   a.store(0, 1.5);
   EXPECT_EQ(a.load(0), 1.5);
   double buf[4] = {};
-  a.load_span(0, 2, 4, buf);
-  a.store_span(0, 2, 4, buf);
+  a.load_span_as<double>(0, 2, 4, buf);
+  a.store_span_as<double>(0, 2, 4, buf);
   // The shared null counter stays disabled: nothing was recorded.
   EXPECT_EQ(gpusim::null_counter().snapshot().bytes_total(), 0u);
 }

@@ -471,10 +471,11 @@ TEST(Runner, BitflipRollbackRecoversBitIdenticalState) {
   const auto clean_rep = clean.run(32);
   EXPECT_EQ(clean_rep.rollbacks, 0);
 
-  ResilientRunner<D2Q9> faulted(tg_aa(), rc);
   FaultConfig fc;
   fc.scripted.push_back({10, 40, 62});  // exponent flip: blows past bounds
+  // The injector outlives the runner, whose destructor uninstalls it.
   FaultInjector inj(fc);
+  ResilientRunner<D2Q9> faulted(tg_aa(), rc);
   faulted.set_fault_injector(&inj);
   const auto rep = faulted.run(32);
 
@@ -500,12 +501,12 @@ TEST(Runner, LaunchFailureRecoveryIsBitIdentical) {
   ResilientRunner<D2Q9> clean(tg_st(), rc);
   clean.run(32);
 
-  ResilientRunner<D2Q9> faulted(tg_st(), rc);
   FaultConfig fc;
   fc.seed = 7;
   fc.launch_fail_rate = 0.1;
   fc.step_end = 24;
   FaultInjector inj(fc);
+  ResilientRunner<D2Q9> faulted(tg_st(), rc);
   faulted.set_fault_injector(&inj);
   const auto rep = faulted.run(32);
 
@@ -524,12 +525,12 @@ TEST(Runner, SameSeedReproducesRecoveryTrace) {
     RunnerConfig rc;
     rc.checkpoint_interval = 8;
     rc.sentinel.cadence = 4;
-    ResilientRunner<D2Q9> runner(tg_st(), rc);
     FaultConfig fc;
     fc.seed = 9;
     fc.bitflip_rate = 0.05;
     fc.launch_fail_rate = 0.05;
     FaultInjector inj(fc);
+    ResilientRunner<D2Q9> runner(tg_st(), rc);
     runner.set_fault_injector(&inj);
     const auto rep = runner.run(48);
     *trace = inj.trace_string();
@@ -596,12 +597,12 @@ TEST(Runner, MultiDomainHaloCorruptionRecoversBitIdentical) {
   ResilientRunner<D2Q9> clean(make_multi(), rc);
   clean.run(24);
 
-  ResilientRunner<D2Q9> faulted(make_multi(), rc);
   FaultConfig fc;
   fc.seed = 11;
   fc.halo_corrupt_rate = 0.15;
   fc.step_end = 16;
   FaultInjector inj(fc);
+  ResilientRunner<D2Q9> faulted(make_multi(), rc);
   faulted.set_fault_injector(&inj);
   const auto rep = faulted.run(24);
 

@@ -1,23 +1,20 @@
-// Batched-span I/O must be observationally equivalent to scalar I/O.
+// Counted traffic must be exactly what the engines declare, and invariant
+// under every execution choice that is not supposed to change it.
 //
 // The engines move whole per-node vectors (Q populations, M moments) through
-// GlobalArray::load_span/store_span — one counted transaction per node
-// instead of one per component. This file pins down the contract:
+// GlobalArray::load_span_as/store_span_as — one counted transaction per node
+// vector, the coalesced-transaction model of DESIGN.md. The first block
+// pins every step's bytes AND transactions to the closed form the engine's
+// own access contract derives (analysis::derive_step_traffic), and the span
+// side to one transaction per node.
 //
-//   * byte counts are IDENTICAL: a span of n elements counts n * sizeof(T)
-//     bytes, exactly like n scalar accesses (Table 2 stays byte-exact);
-//   * transaction counts scale by the batch width: n scalar accesses become
-//     one span transaction (the coalesced-transaction model of DESIGN.md);
-//   * the physics is BIT-IDENTICAL: both paths read and write the same
-//     values at the same addresses, so trajectories match exactly — not
-//     merely to round-off.
+// The lane-batched execution path (ExecMode::kLanes) must be observationally
+// indistinguishable from the scalar one: panels reorder node processing but
+// perform the scalar path's loads, stores and arithmetic per node, so fields
+// AND all four traffic counters must be identical — not merely the byte
+// totals.
 //
-// The same contract binds the lane-batched execution path (ExecMode::kLanes):
-// panels reorder node processing but perform the scalar path's loads, stores
-// and arithmetic per node, so fields AND all four traffic counters must be
-// identical — not merely the byte totals.
-//
-// And it binds the interior fast path of the dense chassis launches
+// And the same binds the interior fast path of the dense chassis launches
 // (docs/algorithms.md §16): all-interior nodes run the same gather/scatter
 // maps through bare element access and a register tally, so a run on it must
 // match a run forced onto the per-access path (unique-read tracking on) in
@@ -29,6 +26,7 @@
 #include <string>
 
 #include "analysis/sanitizer/sanitizer.hpp"
+#include "analysis/static/traffic.hpp"
 #include "engines/aa_engine.hpp"
 #include "engines/ep_engine.hpp"
 #include "engines/mr_engine.hpp"
@@ -97,110 +95,105 @@ void expect_fields_identical(const Engine<L>& a, const Engine<L>& b) {
   }
 }
 
+/// Steps `eng` `steps` times on its periodic box; every step's counted
+/// traffic must equal what the engine's access contract derives for that
+/// step, to the byte and the transaction. Returns the last step's traffic.
+template <class L>
+gpusim::TrafficSnapshot expect_contract_traffic(Engine<L>& eng, int steps) {
+  const analysis::EngineContract c = eng.access_contract();
+  const Box& b = eng.geometry().box;
+  gpusim::TrafficSnapshot last;
+  for (int s = 0; s < steps; ++s) {
+    SCOPED_TRACE("step " + std::to_string(eng.time()));
+    const analysis::StepTraffic want =
+        analysis::derive_step_traffic(c, b.nx, b.ny, b.nz, eng.time());
+    last = traffic_of_run<L>(eng, 1);
+    EXPECT_EQ(last.bytes_read, want.bytes_read);
+    EXPECT_EQ(last.bytes_written, want.bytes_written);
+    EXPECT_EQ(last.reads, want.reads);
+    EXPECT_EQ(last.writes, want.writes);
+  }
+  return last;
+}
+
 // ------------------------------------------------------------------ ST pull
 // Pull gathers from neighbour-dependent addresses (inherently scalar) and
-// writes the node's Q populations as one span: writes collapse by Q, reads
-// are untouched.
+// writes the node's Q populations as one span: one write transaction per
+// node carrying Q elements, Q read transactions per node.
 TEST(TrafficInvariance, StPullWritesCollapseByQ) {
   const auto tg = TaylorGreen<D2Q9>::create(16, 0.03);
-  StEngine<D2Q9> batched(tg.geo, 0.8);
-  StEngine<D2Q9> scalar(tg.geo, 0.8);
-  scalar.set_batched_io(false);
-  tg.attach(batched);
-  tg.attach(scalar);
-
-  const auto tb = traffic_of_run<D2Q9>(batched, 5);
-  const auto ts = traffic_of_run<D2Q9>(scalar, 5);
-
-  EXPECT_EQ(tb.bytes_read, ts.bytes_read);
-  EXPECT_EQ(tb.bytes_written, ts.bytes_written);
-  EXPECT_EQ(tb.reads, ts.reads);                // gather stays scalar
-  EXPECT_EQ(tb.writes * D2Q9::Q, ts.writes);    // write-back batches by Q
-  expect_fields_identical<D2Q9>(batched, scalar);
+  StEngine<D2Q9> eng(tg.geo, 0.8);
+  tg.attach(eng);
+  const auto t = expect_contract_traffic<D2Q9>(eng, 5);
+  const auto nodes = static_cast<std::uint64_t>(tg.geo.box.cells());
+  EXPECT_EQ(t.writes, nodes);
+  EXPECT_EQ(t.bytes_written, nodes * D2Q9::Q * sizeof(real_t));
+  EXPECT_EQ(t.reads, nodes * D2Q9::Q);
 }
 
 // ------------------------------------------------------------------ ST push
 // Push reads the node's Q populations as one span and scatters to
-// neighbour-dependent addresses: reads collapse by Q, writes are untouched.
+// neighbour-dependent addresses: one read transaction per node carrying Q
+// elements, Q write transactions per node.
 TEST(TrafficInvariance, StPushReadsCollapseByQ) {
   const auto tg = TaylorGreen<D2Q9>::create(16, 0.03);
-  StEngine<D2Q9> batched(tg.geo, 0.8, CollisionScheme::kBGK, 256,
-                         StreamMode::kPush);
-  StEngine<D2Q9> scalar(tg.geo, 0.8, CollisionScheme::kBGK, 256,
-                        StreamMode::kPush);
-  scalar.set_batched_io(false);
-  tg.attach(batched);
-  tg.attach(scalar);
-
-  const auto tb = traffic_of_run<D2Q9>(batched, 5);
-  const auto ts = traffic_of_run<D2Q9>(scalar, 5);
-
-  EXPECT_EQ(tb.bytes_read, ts.bytes_read);
-  EXPECT_EQ(tb.bytes_written, ts.bytes_written);
-  EXPECT_EQ(tb.reads * D2Q9::Q, ts.reads);      // node read batches by Q
-  EXPECT_EQ(tb.writes, ts.writes);              // scatter stays scalar
-  expect_fields_identical<D2Q9>(batched, scalar);
+  StEngine<D2Q9> eng(tg.geo, 0.8, CollisionScheme::kBGK, 256,
+                     StreamMode::kPush);
+  tg.attach(eng);
+  const auto t = expect_contract_traffic<D2Q9>(eng, 5);
+  const auto nodes = static_cast<std::uint64_t>(tg.geo.box.cells());
+  EXPECT_EQ(t.reads, nodes);
+  EXPECT_EQ(t.bytes_read, nodes * D2Q9::Q * sizeof(real_t));
+  EXPECT_EQ(t.writes, nodes * D2Q9::Q);
 }
 
 // ------------------------------------------------------------------ AA even
 // The even step is purely node-local: both the read and the (opposite-slot)
-// write move the node's full Q vector, so both collapse by Q.
+// write move the node's full Q vector as one span. The odd step that
+// follows is pinned to its contract too.
 TEST(TrafficInvariance, AaEvenStepBatchesBothSidesByQ) {
   const auto tg = TaylorGreen<D2Q9>::create(16, 0.03);
-  AaEngine<D2Q9> batched(tg.geo, 0.8);
-  AaEngine<D2Q9> scalar(tg.geo, 0.8);
-  scalar.set_batched_io(false);
-  tg.attach(batched);
-  tg.attach(scalar);
-
-  const auto tb = traffic_of_run<D2Q9>(batched, 1);  // step 0 is even
-  const auto ts = traffic_of_run<D2Q9>(scalar, 1);
-
-  EXPECT_EQ(tb.bytes_read, ts.bytes_read);
-  EXPECT_EQ(tb.bytes_written, ts.bytes_written);
-  EXPECT_EQ(tb.reads * D2Q9::Q, ts.reads);
-  EXPECT_EQ(tb.writes * D2Q9::Q, ts.writes);
-  expect_fields_identical<D2Q9>(batched, scalar);
+  AaEngine<D2Q9> eng(tg.geo, 0.8);
+  tg.attach(eng);
+  const auto t = expect_contract_traffic<D2Q9>(eng, 1);  // step 0 is even
+  const auto nodes = static_cast<std::uint64_t>(tg.geo.box.cells());
+  const auto vec = nodes * D2Q9::Q * sizeof(real_t);
+  EXPECT_EQ(t.reads, nodes);
+  EXPECT_EQ(t.writes, nodes);
+  EXPECT_EQ(t.bytes_read, vec);
+  EXPECT_EQ(t.bytes_written, vec);
+  expect_contract_traffic<D2Q9>(eng, 1);  // odd
 }
 
 // --------------------------------------------------------------------- MR
-// Both sides of the MR engine move whole M-component moment vectors, so
-// reads and writes collapse by M = 1 + D + D(D+1)/2.
+// Both sides of the MR engine move whole M-component moment vectors, one
+// span per node (M = 1 + D + D(D+1)/2): every node is written once per step,
+// and every read — halo re-reads included — carries M elements.
+template <class L>
+void expect_moment_spans(const gpusim::TrafficSnapshot& t, const Box& b) {
+  const auto nodes = static_cast<std::uint64_t>(b.cells());
+  const auto vec = static_cast<std::uint64_t>(L::M) * sizeof(real_t);
+  EXPECT_EQ(t.writes, nodes);
+  EXPECT_EQ(t.bytes_written, t.writes * vec);
+  EXPECT_EQ(t.bytes_read, t.reads * vec);
+  EXPECT_GE(t.reads, nodes);
+}
+
 TEST(TrafficInvariance, MrPingPong2DBatchesByM) {
   const auto tg = TaylorGreen<D2Q9>::create(16, 0.03);
-  MrEngine<D2Q9> batched(tg.geo, 0.8, Regularization::kProjective, {8, 1, 2});
-  MrEngine<D2Q9> scalar(tg.geo, 0.8, Regularization::kProjective, {8, 1, 2});
-  scalar.set_batched_io(false);
-  tg.attach(batched);
-  tg.attach(scalar);
-
-  const auto tb = traffic_of_run<D2Q9>(batched, 5);
-  const auto ts = traffic_of_run<D2Q9>(scalar, 5);
-
-  EXPECT_EQ(tb.bytes_read, ts.bytes_read);
-  EXPECT_EQ(tb.bytes_written, ts.bytes_written);
-  EXPECT_EQ(tb.reads * D2Q9::M, ts.reads);
-  EXPECT_EQ(tb.writes * D2Q9::M, ts.writes);
-  expect_fields_identical<D2Q9>(batched, scalar);
+  MrEngine<D2Q9> eng(tg.geo, 0.8, Regularization::kProjective, {8, 1, 2});
+  tg.attach(eng);
+  expect_moment_spans<D2Q9>(expect_contract_traffic<D2Q9>(eng, 5),
+                            tg.geo.box);
 }
 
 TEST(TrafficInvariance, MrCircularShift3DBatchesByM) {
   const auto tg = TaylorGreen<D3Q19>::create(8, 0.03, 8);
   MrConfig cfg{4, 4, 1, MomentStorage::kCircularShift};
-  MrEngine<D3Q19> batched(tg.geo, 0.8, Regularization::kRecursive, cfg);
-  MrEngine<D3Q19> scalar(tg.geo, 0.8, Regularization::kRecursive, cfg);
-  scalar.set_batched_io(false);
-  tg.attach(batched);
-  tg.attach(scalar);
-
-  const auto tb = traffic_of_run<D3Q19>(batched, 3);
-  const auto ts = traffic_of_run<D3Q19>(scalar, 3);
-
-  EXPECT_EQ(tb.bytes_read, ts.bytes_read);
-  EXPECT_EQ(tb.bytes_written, ts.bytes_written);
-  EXPECT_EQ(tb.reads * D3Q19::M, ts.reads);
-  EXPECT_EQ(tb.writes * D3Q19::M, ts.writes);
-  expect_fields_identical<D3Q19>(batched, scalar);
+  MrEngine<D3Q19> eng(tg.geo, 0.8, Regularization::kRecursive, cfg);
+  tg.attach(eng);
+  expect_moment_spans<D3Q19>(expect_contract_traffic<D3Q19>(eng, 3),
+                             tg.geo.box);
 }
 
 // ------------------------------------------------------- Scalar vs Lanes
@@ -224,10 +217,10 @@ void expect_exec_invariant(Engine<L>& scalar, Engine<L>& lanes, const W& tg,
   expect_fields_identical<L>(scalar, lanes);
 }
 
-/// MR-P and MR-R, scalar vs lanes, on workload `w`: both storage policies,
-/// batched and per-component moment I/O. `ndev` > 1 runs each engine as a
-/// slab decomposition along x, whose interface faces are open faces the
-/// kernel's open-hole path serves every step.
+/// MR-P and MR-R, scalar vs lanes, on workload `w`, in both storage
+/// policies. `ndev` > 1 runs each engine as a slab decomposition along x,
+/// whose interface faces are open faces the kernel's open-hole path serves
+/// every step.
 template <class L, class ST, class W>
 void mr_exec_invariance_matrix(const W& w, int steps, int ndev = 1) {
   const real_t tau = 0.8;
@@ -236,35 +229,30 @@ void mr_exec_invariance_matrix(const W& w, int steps, int ndev = 1) {
        {Regularization::kProjective, Regularization::kRecursive}) {
     for (const MomentStorage storage :
          {MomentStorage::kPingPong, MomentStorage::kCircularShift}) {
-      for (const bool batched : {true, false}) {
-        const bool p = reg == Regularization::kProjective;
-        SCOPED_TRACE(std::string(p ? "MR-P " : "MR-R ") + to_string(storage) +
-                     (batched ? " batched" : " scalar-io"));
-        MrConfig c = cfg;
-        c.storage = storage;
-        const auto make = [&](Geometry g, ExecMode exec) {
-          auto e = std::make_unique<MrEngine<L, ST>>(std::move(g), tau, reg, c,
-                                                     exec);
-          e->set_batched_io(batched);
-          return e;
-        };
-        std::unique_ptr<Engine<L>> scalar;
-        std::unique_ptr<Engine<L>> lanes;
-        if (ndev == 1) {
-          scalar = make(w.geo, ExecMode::kScalar);
-          lanes = make(w.geo, ExecMode::kLanes);
-        } else {
-          for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
-            (exec == ExecMode::kScalar ? scalar : lanes) =
-                std::make_unique<MultiDomainEngine<L>>(
-                    w.geo, tau, ndev,
-                    [&](Geometry g, int) -> std::unique_ptr<Engine<L>> {
-                      return make(std::move(g), exec);
-                    });
-          }
+      const bool p = reg == Regularization::kProjective;
+      SCOPED_TRACE(std::string(p ? "MR-P " : "MR-R ") + to_string(storage));
+      MrConfig c = cfg;
+      c.storage = storage;
+      const auto make = [&](Geometry g, ExecMode exec) {
+        return std::make_unique<MrEngine<L, ST>>(std::move(g), tau, reg, c,
+                                                 exec);
+      };
+      std::unique_ptr<Engine<L>> scalar;
+      std::unique_ptr<Engine<L>> lanes;
+      if (ndev == 1) {
+        scalar = make(w.geo, ExecMode::kScalar);
+        lanes = make(w.geo, ExecMode::kLanes);
+      } else {
+        for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
+          (exec == ExecMode::kScalar ? scalar : lanes) =
+              std::make_unique<MultiDomainEngine<L>>(
+                  w.geo, tau, ndev,
+                  [&](Geometry g, int) -> std::unique_ptr<Engine<L>> {
+                    return make(std::move(g), exec);
+                  });
         }
-        expect_exec_invariant<L>(*scalar, *lanes, w, steps);
       }
+      expect_exec_invariant<L>(*scalar, *lanes, w, steps);
     }
   }
 }
@@ -458,11 +446,11 @@ void expect_fast_path_invariant(Engine<L>& fast, Engine<L>& inst, const W& w,
   }
 }
 
-/// ST pull, ST push, AA and EP on workload `w`, batched and scalar I/O
-/// (ST, AA; EP moves no spans), whole steps and frontier/interior split
-/// steps, scalar and lane execution. 40 threads per block: blocks start
-/// mid-row, so x-runs are split at block edges as well as at the faces.
-/// `sparse`: `w` carries solids (tile launches; ST push rejects them).
+/// ST pull, ST push, AA and EP on workload `w`, whole steps and
+/// frontier/interior split steps, scalar and lane execution. 40 threads per
+/// block: blocks start mid-row, so x-runs are split at block edges as well
+/// as at the faces. `sparse`: `w` carries solids (tile launches; ST push
+/// rejects them).
 template <class L, class ST, class W>
 void fast_path_matrix(const W& w, bool sparse) {
   const real_t tau = 0.8;
@@ -470,36 +458,29 @@ void fast_path_matrix(const W& w, bool sparse) {
   const int steps = 4;  // both parities of AA and EP
   for (const bool split : {false, true}) {
     for (const ExecMode exec : {ExecMode::kScalar, ExecMode::kLanes}) {
-      for (const bool batched : {true, false}) {
-        SCOPED_TRACE(std::string(split ? "split " : "whole ") +
-                     to_string(exec) + (batched ? " batched" : " scalar-io"));
-        for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
-          if (sparse && mode == StreamMode::kPush) continue;
-          SCOPED_TRACE(mode == StreamMode::kPull ? "ST pull" : "ST push");
-          StEngine<L, ST> fast(w.geo, tau, CollisionScheme::kRecursive, tpb,
-                               mode, exec);
-          StEngine<L, ST> inst(w.geo, tau, CollisionScheme::kRecursive, tpb,
-                               mode, exec);
-          fast.set_batched_io(batched);
-          inst.set_batched_io(batched);
-          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
-        }
-        {
-          SCOPED_TRACE("AA");
-          AaEngine<L, ST> fast(w.geo, tau, CollisionScheme::kProjective, tpb,
-                               exec);
-          AaEngine<L, ST> inst(w.geo, tau, CollisionScheme::kProjective, tpb,
-                               exec);
-          fast.set_batched_io(batched);
-          inst.set_batched_io(batched);
-          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
-        }
-        if (batched) {
-          SCOPED_TRACE("EP");
-          EpEngine<L, ST> fast(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
-          EpEngine<L, ST> inst(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
-          expect_fast_path_invariant<L>(fast, inst, w, steps, split);
-        }
+      SCOPED_TRACE(std::string(split ? "split " : "whole ") + to_string(exec));
+      for (const StreamMode mode : {StreamMode::kPull, StreamMode::kPush}) {
+        if (sparse && mode == StreamMode::kPush) continue;
+        SCOPED_TRACE(mode == StreamMode::kPull ? "ST pull" : "ST push");
+        StEngine<L, ST> fast(w.geo, tau, CollisionScheme::kRecursive, tpb,
+                             mode, exec);
+        StEngine<L, ST> inst(w.geo, tau, CollisionScheme::kRecursive, tpb,
+                             mode, exec);
+        expect_fast_path_invariant<L>(fast, inst, w, steps, split);
+      }
+      {
+        SCOPED_TRACE("AA");
+        AaEngine<L, ST> fast(w.geo, tau, CollisionScheme::kProjective, tpb,
+                             exec);
+        AaEngine<L, ST> inst(w.geo, tau, CollisionScheme::kProjective, tpb,
+                             exec);
+        expect_fast_path_invariant<L>(fast, inst, w, steps, split);
+      }
+      {
+        SCOPED_TRACE("EP");
+        EpEngine<L, ST> fast(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
+        EpEngine<L, ST> inst(w.geo, tau, CollisionScheme::kBGK, tpb, exec);
+        expect_fast_path_invariant<L>(fast, inst, w, steps, split);
       }
     }
   }
