@@ -119,8 +119,15 @@ int run(const Cli& cli) {
               rho_max, umax_seen);
   std::printf("footprint: %.2f MiB simulation state\n",
               eng->state_bytes() / 1048576.0);
-  if (eng->profiler() != nullptr) {
-    const auto t = eng->profiler()->total_traffic();
+  // Counted over every profiler the engine owns: one per slab when
+  // decomposed.
+  gpusim::TrafficSnapshot t;
+  bool counted = false;
+  for_each_profiler(*eng, [&](const gpusim::Profiler& p) {
+    t += p.total_traffic();
+    counted = true;
+  });
+  if (counted) {
     std::printf("simulated DRAM traffic: %.1f MiB (%.1f B per node-update)\n",
                 t.bytes_total() / 1048576.0,
                 static_cast<double>(t.bytes_total()) /

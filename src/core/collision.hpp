@@ -32,10 +32,11 @@ inline const char* to_string(CollisionScheme s) {
   return "?";
 }
 
-/// In-place BGK relaxation: f <- f + (feq - f)/tau.
-template <class L>
-void collide_bgk(real_t (&f)[L::Q], real_t tau) {
-  const Moments<L> m = compute_moments<L>(f);
+/// In-place BGK relaxation: f <- f + (feq - f)/tau. Like every operator
+/// below, generic over the register type V (core/lanes.hpp).
+template <class L, class V = real_t>
+void collide_bgk(V (&f)[L::Q], real_t tau) {
+  const Moments<L, V> m = compute_moments<L>(f);
   const real_t omega = real_t(1) / tau;
   for (int i = 0; i < L::Q; ++i) {
     f[i] += omega * (equilibrium<L>(i, m.rho, m.u.data()) - f[i]);
@@ -46,15 +47,15 @@ void collide_bgk(real_t (&f)[L::Q], real_t tau) {
 /// fixed at compile time — no per-node or per-population branch. The
 /// non-equilibrium second moment is projected out of f (Eq. 8), relaxed
 /// (Eq. 10), and the population rebuilt with the chosen reconstruction.
-template <class L, Regularization R>
-void collide_regularized(real_t (&f)[L::Q], real_t tau) {
-  const Moments<L> m = compute_moments<L>(f);
+template <class L, Regularization R, class V = real_t>
+void collide_regularized(V (&f)[L::Q], real_t tau) {
+  const Moments<L, V> m = compute_moments<L>(f);
   const real_t factor = real_t(1) - real_t(1) / tau;
-  real_t pineq_star[Moments<L>::NP];
+  V pineq_star[Moments<L>::NP];
   for (int p = 0; p < Moments<L>::NP; ++p) {
     pineq_star[p] = factor * m.pi_neq(p);
   }
-  const Reconstructor<L, R> rec(m.rho, m.u.data(), pineq_star);
+  const Reconstructor<L, R, V> rec(m.rho, m.u.data(), pineq_star);
   for (int i = 0; i < L::Q; ++i) {
     f[i] = rec(i);
   }
@@ -74,8 +75,8 @@ void collide_regularized(real_t (&f)[L::Q], real_t tau, Regularization scheme) {
 /// loop never carries the regularized reconstructors through register
 /// allocation — inlining those arms into the loop costs GCC ~10% of the
 /// gather-bound kernel's throughput even when the BGK branch is taken.
-template <class L, CollisionScheme S>
-void collide(real_t (&f)[L::Q], real_t tau) {
+template <class L, CollisionScheme S, class V = real_t>
+void collide(V (&f)[L::Q], real_t tau) {
   if constexpr (S == CollisionScheme::kBGK) {
     collide_bgk<L>(f, tau);
   } else if constexpr (S == CollisionScheme::kProjective) {
@@ -105,8 +106,8 @@ void dispatch_collision(CollisionScheme s, Fn&& fn) {
 }
 
 /// Runtime-dispatched collision used by the reference engine.
-template <class L>
-void collide(CollisionScheme scheme, real_t (&f)[L::Q], real_t tau) {
+template <class L, class V = real_t>
+void collide(CollisionScheme scheme, V (&f)[L::Q], real_t tau) {
   dispatch_collision(scheme, [&](auto sc) {
     collide<L, decltype(sc)::value>(f, tau);
   });

@@ -98,17 +98,18 @@ struct SymQuads<3> {
 
 /// Per-node moment state {rho, u, Pi}. `pi` holds the *full* second-order
 /// Hermite moment (equilibrium + non-equilibrium parts); the non-equilibrium
-/// part is recovered as Pi_ab - rho u_a u_b.
-template <class L>
+/// part is recovered as Pi_ab - rho u_a u_b. `V` is the register type: one
+/// node's real_t, or a lane panel's Lanes<W> (core/lanes.hpp).
+template <class L, class V = real_t>
 struct Moments {
   static constexpr int D = L::D;
   static constexpr int NP = SymPairs<D>::N;
 
-  real_t rho = 1;
-  std::array<real_t, D> u{};
-  std::array<real_t, NP> pi{};
+  V rho = 1;
+  std::array<V, D> u{};
+  std::array<V, NP> pi{};
 
-  [[nodiscard]] real_t pi_neq(int p) const {
+  [[nodiscard]] V pi_neq(int p) const {
     const auto [a, b] = pair(p);
     return pi[static_cast<std::size_t>(p)] - rho * u[static_cast<std::size_t>(a)] * u[static_cast<std::size_t>(b)];
   }
@@ -160,23 +161,23 @@ inline constexpr MomentProjection<L> kMomentProjection =
 /// inlined: a kernel must not call whichever out-of-line copy the linker
 /// keeps, since that copy's code depends on link order and on another TU's
 /// flags.
-template <class L>
-[[gnu::always_inline]] inline Moments<L> compute_moments(
-    const real_t (&f)[L::Q]) {
+template <class L, class V = real_t>
+[[gnu::always_inline]] inline Moments<L, V> compute_moments(
+    const V (&f)[L::Q]) {
   const auto& t = detail::kMomentProjection<L>;
-  Moments<L> m;
-  real_t rho = 0;
+  Moments<L, V> m;
+  V rho = 0;
   for (int i = 0; i < L::Q; ++i) rho += f[i];
   m.rho = rho;
   for (int a = 0; a < L::D; ++a) {
-    real_t acc = 0;
+    V acc = 0;
     for (int i = 0; i < L::Q; ++i) {
       acc += t.c[a][i] * f[i];
     }
     m.u[static_cast<std::size_t>(a)] = acc / rho;
   }
   for (int p = 0; p < Moments<L>::NP; ++p) {
-    real_t acc = 0;
+    V acc = 0;
     for (int i = 0; i < L::Q; ++i) {
       acc += t.h2[p][i] * f[i];
     }

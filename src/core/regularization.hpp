@@ -311,8 +311,8 @@ struct ReconstructTables {
 /// instantiation carries no third/fourth-order state or code at all, and the
 /// recursive one has no per-direction branch — this is what the hot engine
 /// loops use after hoisting the runtime-enum dispatch out of the per-node
-/// and per-population loops.
-template <class L, Regularization R>
+/// and per-population loops. `V` is the register type (core/lanes.hpp).
+template <class L, Regularization R, class V = real_t>
 class Reconstructor {
  public:
   static constexpr int NP = SymPairs<L::D>::N;
@@ -320,8 +320,7 @@ class Reconstructor {
 
   /// Always inlined, like compute_moments (moments.hpp), so no kernel runs
   /// a link-order-dependent out-of-line copy.
-  [[gnu::always_inline]] Reconstructor(real_t rho, const real_t* u,
-                                       const real_t* pineq)
+  [[gnu::always_inline]] Reconstructor(V rho, const V* u, const V* pineq)
       : rho_(rho) {
     for (int a = 0; a < L::D; ++a) {
       rho_u_[a] = rho * u[a];
@@ -353,10 +352,10 @@ class Reconstructor {
     }
   }
 
-  [[nodiscard]] real_t operator()(int i) const {
+  [[nodiscard]] V operator()(int i) const {
     const auto& t = ReconstructTables<L>::get();
     const auto si = static_cast<std::size_t>(i);
-    real_t acc = t.k0[si] * rho_;
+    V acc = t.k0[si] * rho_;
     for (int a = 0; a < L::D; ++a) {
       acc += t.k1[si][static_cast<std::size_t>(a)] * rho_u_[a];
     }
@@ -381,11 +380,11 @@ class Reconstructor {
   struct Empty {};
   template <int N>
   using HigherRegs =
-      std::conditional_t<R == Regularization::kRecursive, real_t[N], Empty>;
+      std::conditional_t<R == Regularization::kRecursive, V[N], Empty>;
 
-  real_t rho_;
-  real_t rho_u_[L::D] = {};
-  real_t a2_[NP] = {};
+  V rho_;
+  V rho_u_[L::D] = {};
+  V a2_[NP] = {};
   [[no_unique_address]] HigherRegs<HS::NU3 == 0 ? 1 : HS::NU3> a3_{};
   [[no_unique_address]] HigherRegs<HS::NU4 == 0 ? 1 : HS::NU4> a4_{};
 };

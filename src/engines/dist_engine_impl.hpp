@@ -30,31 +30,6 @@ template <class F, CollisionScheme S, class L, class ST, class Lk, class Io>
   F::scatter(v, lk, io, cell, f, aux);
 }
 
-/// Collision of a panel of n <= W gathered nodes, node-major: the only step
-/// of the dense walk that depends on the execution mode. W = 1 is the scalar
-/// operator on the node's registers, W > 1 the lane-major one (core/
-/// lanes.hpp). `scheme` is a compile-time std::integral_constant or a
-/// runtime CollisionScheme.
-template <class L, int W, class Sc>
-[[gnu::always_inline]] inline void collide_panel(Sc scheme,
-                                                 real_t (&f)[W][L::Q], int n,
-                                                 real_t tau) {
-  if constexpr (W > 1) {
-    real_t panel[L::Q][W];
-    for (int ln = 0; ln < n; ++ln) {
-      for (int i = 0; i < L::Q; ++i) panel[i][ln] = f[ln][i];
-    }
-    collide_lanes<L, W>(scheme, panel, n, tau);
-    for (int ln = 0; ln < n; ++ln) {
-      for (int i = 0; i < L::Q; ++i) f[ln][i] = panel[i][ln];
-    }
-  } else if constexpr (std::is_enum_v<Sc>) {
-    collide<L>(scheme, f[0], tau);
-  } else {
-    collide<L, Sc::value>(f[0], tau);
-  }
-}
-
 template <class L>
 template <class Fn>
 void DenseRange<L>::runs(index_t start, index_t end, Fn&& fn) const {
@@ -415,7 +390,8 @@ void DistEngine<L, ST, A>::sweep(const View& v, const Links& links, Io& io,
                                  real_t tau) {
   // Nodes [x0, x1) of one row in panels of W nodes. Gather and scatter stay
   // per node (W = 1: the plain per-node sequence; W > 1: panel-interleaved);
-  // only the collision sees the panel width. For the in-place policies the
+  // the collision runs once on the panel's registers (core/lanes.hpp),
+  // whose type is the only thing W changes. For the in-place policies the
   // reordering is exact because every lattice word has a unique reader ==
   // writer node, so only each node's own gather-before-scatter order
   // matters, which the panel preserves.
@@ -427,7 +403,13 @@ void DistEngine<L, ST, A>::sweep(const View& v, const Links& links, Io& io,
       const int x = p0 + ln;
       aux[ln] = F::gather(v, links(x), io, row + x, f[ln]);
     }
-    collide_panel<L, W>(scheme, f, n, tau);
+    in_lanes(f, n, [&](auto& r) MLBM_ALWAYS_INLINE {
+      if constexpr (std::is_enum_v<Sc>) {
+        collide<L>(scheme, r, tau);
+      } else {
+        collide<L, Sc::value>(r, tau);
+      }
+    });
     for (int ln = 0; ln < n; ++ln) {
       const int x = p0 + ln;
       F::scatter(v, links(x), io, row + x, f[ln], aux[ln]);

@@ -30,48 +30,6 @@ constexpr int c_sweep(int i) {
   return L::c[static_cast<std::size_t>(i)][L::D == 2 ? 1 : 2];
 }
 
-/// Phase A's moment arithmetic on a panel of n <= W source nodes: the Q
-/// post-collision populations of each from its {rho, u, Pi_neq*}. W = 1 is
-/// the scalar reconstruction, W > 1 the lane-major one; the only place
-/// phase A depends on the execution mode.
-template <class L, Regularization R, int W>
-MLBM_ALWAYS_INLINE inline void reconstruct_panel(
-    int n, const real_t (&rho)[W], const real_t (&u)[L::D][W],
-    const real_t (&pineq)[SymPairs<L::D>::N][W], real_t (&f)[L::Q][W]) {
-  if constexpr (W == 1) {
-    real_t u1[L::D];
-    real_t pineq1[SymPairs<L::D>::N];
-    for (int a = 0; a < L::D; ++a) u1[a] = u[a][0];
-    for (int p = 0; p < SymPairs<L::D>::N; ++p) pineq1[p] = pineq[p][0];
-    const Reconstructor<L, R> recon(rho[0], u1, pineq1);
-    for (int i = 0; i < L::Q; ++i) f[i][0] = recon(i);
-  } else {
-    const ReconstructorLanes<L, R, W> recon(n, rho, u, pineq);
-    for (int i = 0; i < L::Q; ++i) recon.eval(i, f[i]);
-  }
-}
-
-/// Phase B's moment arithmetic on a panel of n <= W finished nodes: the
-/// re-projection of their Q populations; the only place phase B depends on
-/// the execution mode.
-template <class L, int W>
-MLBM_ALWAYS_INLINE inline void project_panel(
-    const real_t (&f)[L::Q][W], int n, real_t (&rho)[W],
-    real_t (&u)[L::D][W], real_t (&pi)[SymPairs<L::D>::N][W]) {
-  if constexpr (W == 1) {
-    real_t f1[L::Q];
-    for (int i = 0; i < L::Q; ++i) f1[i] = f[i][0];
-    const Moments<L> m = compute_moments<L>(f1);
-    rho[0] = m.rho;
-    for (int a = 0; a < L::D; ++a) u[a][0] = m.u[static_cast<std::size_t>(a)];
-    for (int p = 0; p < SymPairs<L::D>::N; ++p) {
-      pi[p][0] = m.pi[static_cast<std::size_t>(p)];
-    }
-  } else {
-    compute_moments_lanes<L, W>(f, n, rho, u, pi);
-  }
-}
-
 }  // namespace detail
 
 template <class L, class ST>
@@ -309,11 +267,8 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
   const bool solids = geo.has_solids();
   const gpusim::GlobalArray<std::int32_t>& colmap = colmap_;
   // Link i, by the streaming rule every engine shares, of the in-domain
-  // node at cross position (cx0, cx1) on sweep layer s. Flattened: the
-  // out-of-line copy of resolve_stream the linker keeps may come from
-  // another TU's optimization level (src/CMakeLists.txt).
-  const auto resolve = [&](int cx0, int cx1, int s,
-                           int i) __attribute__((flatten)) {
+  // node at cross position (cx0, cx1) on sweep layer s.
+  const auto resolve = [&](int cx0, int cx1, int s, int i) {
     return resolve_stream<L>(geo, cx0, L::D == 2 ? s : cx1, L::D == 2 ? 0 : s,
                              i);
   };
@@ -636,48 +591,43 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
         // Runs the first n (<= W) sources of the panel.
         const auto run_panel = [&](int n) MLBM_ALWAYS_INLINE {
           // Read each node's M moments from global memory (Algorithm 2,
-          // lines 15-23) and collide in moment space (Eq. 10).
-          real_t rho[W];
-          real_t u[L::D][W];
-          real_t pineq[NP][W];
-          for (int ln = 0; ln < n; ++ln) {
-            real_t mom[M];
-            load_node(lane_col[ln], sp, mom);
-            rho[ln] = mom[0];
-            for (int a = 0; a < L::D; ++a) u[a][ln] = mom[1 + a];
-            for (int p = 0; p < NP; ++p) pineq[p][ln] = mom[1 + L::D + p];
-          }
-          for (int p = 0; p < NP; ++p) {
-            const auto [pa, pb] = Moments<L>::pair(p);
-            MLBM_SIMD
-            for (int ln = 0; ln < n; ++ln) {
-              pineq[p][ln] =
-                  relax * (pineq[p][ln] - rho[ln] * u[pa][ln] * u[pb][ln]);
+          // lines 15-23), collide in moment space (Eq. 10), map to
+          // distribution space (Eq. 11 / Eq. 14) on the panel's registers
+          // and stream node by node into the shared ring.
+          real_t mom[W][M];
+          for (int ln = 0; ln < n; ++ln) load_node(lane_col[ln], sp, mom[ln]);
+          in_lanes(mom, n, [&](auto& r) MLBM_ALWAYS_INLINE {
+            using V = std::remove_reference_t<decltype(r[0])>;
+            const V& rho = r[0];
+            const V* u = &r[1];
+            V pineq[NP];
+            for (int p = 0; p < NP; ++p) {
+              const auto [pa, pb] = Moments<L>::pair(p);
+              pineq[p] = relax * (r[1 + L::D + p] - rho * u[pa] * u[pb]);
             }
-          }
-          // Map to distribution space (Eq. 11 / Eq. 14) and stream into
-          // the shared ring.
-          real_t fp[L::Q][W];
-          detail::reconstruct_panel<L, kReg, W>(n, rho, u, pineq, fp);
-          for (int ln = 0; ln < n; ++ln) {
-            const int hx = lane_hx[ln];
-            // Conceptual GPU thread id of this phase-A source thread
-            // (unique per (hx, hy, s) within the block); racecheck
-            // attribution only.
-            const int tid_a =
-                ((s - s_begin) * (hy_hi - hy_lo + 1) + (hy - hy_lo)) *
-                    (st.cax + 2) +
-                (hx - st.x0 + 1);
-            // Signed cross-section index of the source node; halo sources
-            // sit outside [0, cross), but every use is offset to an
-            // in-column destination first.
-            const long long cross_src =
-                static_cast<long long>(hy - st.y0) * st.cax + (hx - st.x0);
-            real_t fv[L::Q];
-            for (int i = 0; i < L::Q; ++i) fv[i] = fp[i][ln];
-            scatter_source(sanc, blk, st, dst_base, s, hx, hy, lane_px[ln],
-                           py, cross_src, tid_a, rho[ln], fv);
-          }
+            const Reconstructor<L, kReg, V> recon(rho, u, pineq);
+            V fp[L::Q];
+            for (int i = 0; i < L::Q; ++i) fp[i] = recon(i);
+            for (int ln = 0; ln < n; ++ln) {
+              const int hx = lane_hx[ln];
+              // Conceptual GPU thread id of this phase-A source thread
+              // (unique per (hx, hy, s) within the block); racecheck
+              // attribution only.
+              const int tid_a =
+                  ((s - s_begin) * (hy_hi - hy_lo + 1) + (hy - hy_lo)) *
+                      (st.cax + 2) +
+                  (hx - st.x0 + 1);
+              // Signed cross-section index of the source node; halo sources
+              // sit outside [0, cross), but every use is offset to an
+              // in-column destination first.
+              const long long cross_src =
+                  static_cast<long long>(hy - st.y0) * st.cax + (hx - st.x0);
+              real_t fv[L::Q];
+              for (int i = 0; i < L::Q; ++i) fv[i] = lane(fp[i], ln);
+              scatter_source(sanc, blk, st, dst_base, s, hx, hy, lane_px[ln],
+                             py, cross_src, tid_a, lane(rho, ln), fv);
+            }
+          });
         };
         int n = 0;
         for (int hx = hx_lo; hx <= hx_hi; ++hx) {
@@ -721,21 +671,24 @@ void MrEngine<L, ST>::step_tiles(int c0_begin, int c0_count,
     std::size_t lane_node[W];
     index_t lane_col[W];
     const auto run_panel = [&](int n) MLBM_ALWAYS_INLINE {
-      real_t fp[L::Q][W];
+      real_t fp[W][L::Q];
       for (int ln = 0; ln < n; ++ln) {
-        for (int i = 0; i < L::Q; ++i) fp[i][ln] = get(lane_node[ln], i);
+        for (int i = 0; i < L::Q; ++i) fp[ln][i] = get(lane_node[ln], i);
       }
-      real_t rho[W];
-      real_t u[L::D][W];
-      real_t pi[NP][W];
-      detail::project_panel<L, W>(fp, n, rho, u, pi);
-      for (int ln = 0; ln < n; ++ln) {
-        real_t vals[M];
-        vals[0] = rho[ln];
-        for (int a = 0; a < L::D; ++a) vals[1 + a] = u[a][ln];
-        for (int p = 0; p < NP; ++p) vals[1 + L::D + p] = pi[p][ln];
-        store_node(lane_col[ln], sp, vals);
-      }
+      in_lanes(fp, n, [&](auto& r) MLBM_ALWAYS_INLINE {
+        const auto m = compute_moments<L>(r);
+        for (int ln = 0; ln < n; ++ln) {
+          real_t vals[M];
+          vals[0] = lane(m.rho, ln);
+          for (int a = 0; a < L::D; ++a) {
+            vals[1 + a] = lane(m.u[static_cast<std::size_t>(a)], ln);
+          }
+          for (int p = 0; p < NP; ++p) {
+            vals[1 + L::D + p] = lane(m.pi[static_cast<std::size_t>(p)], ln);
+          }
+          store_node(lane_col[ln], sp, vals);
+        }
+      });
     };
     int n = 0;
     std::size_t node = 0;

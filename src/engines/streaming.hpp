@@ -21,8 +21,13 @@ struct StreamTarget {
   real_t cu_wall = 0;
 };
 
+/// Always inlined, like compute_moments (core/moments.hpp): every kernel
+/// resolves links per node, and an out-of-line copy is whichever one the
+/// linker keeps, compiled by another TU at another optimization level.
 template <class L>
-StreamTarget resolve_stream(const Geometry& geo, int x, int y, int z, int i) {
+[[gnu::always_inline]] inline StreamTarget resolve_stream(const Geometry& geo,
+                                                          int x, int y, int z,
+                                                          int i) {
   const auto& c = L::c[static_cast<std::size_t>(i)];
   int d[3] = {x + c[0], y + c[1], z + c[2]};
   const int n[3] = {geo.box.nx, geo.box.ny, geo.box.nz};

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "engines/engine.hpp"
@@ -274,6 +275,25 @@ class MultiDomainEngine final : public Engine<L> {
   /// and k walks the depth planes in ascending global x.
   std::vector<Moments<L>> stage_[2];
 };
+
+/// Calls fn(p) for every profiler `eng` owns, in a stable order: one per
+/// slab of a decomposition (a MultiDomainEngine has none of its own), else
+/// the engine's own; a host engine has none. `Eng` is Engine<L> or
+/// const Engine<L>, and `p` carries its const-ness.
+template <class Eng, class Fn>
+void for_each_profiler(Eng& eng, Fn&& fn) {
+  using L = typename Eng::Lattice;
+  using Multi = std::conditional_t<std::is_const_v<Eng>,
+                                   const MultiDomainEngine<L>,
+                                   MultiDomainEngine<L>>;
+  if (auto* md = dynamic_cast<Multi*>(&eng)) {
+    for (int d = 0; d < md->devices(); ++d) {
+      if (auto* p = md->device_engine(d).profiler()) fn(*p);
+    }
+  } else if (auto* p = eng.profiler()) {
+    fn(*p);
+  }
+}
 
 extern template class MultiDomainEngine<D2Q9>;
 extern template class MultiDomainEngine<D3Q19>;

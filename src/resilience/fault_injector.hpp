@@ -218,15 +218,9 @@ class FaultInjector final : public gpusim::LaunchFaultHook {
 
   template <class L>
   void set_hook(Engine<L>& eng, gpusim::LaunchFaultHook* hook) {
-    if (auto* md = dynamic_cast<MultiDomainEngine<L>*>(&eng)) {
-      for (int d = 0; d < md->devices(); ++d) {
-        if (gpusim::Profiler* p = md->device_engine(d).profiler()) {
-          p->set_launch_fault_hook(hook);
-        }
-      }
-      return;
-    }
-    if (gpusim::Profiler* p = eng.profiler()) p->set_launch_fault_hook(hook);
+    for_each_profiler(eng, [hook](gpusim::Profiler& p) {
+      p.set_launch_fault_hook(hook);
+    });
   }
 
   FaultConfig cfg_;

@@ -12,31 +12,6 @@ constexpr int node_values() {
   return 1 + L::D + Moments<L>::NP;
 }
 
-/// Applies `fn` to every profiler the engine owns, in a stable order: the
-/// engine's own (monolithic gpusim engines) or one per slab (MultiDomain).
-/// Host engines have none.
-template <class L, class Fn>
-void for_each_profiler(Engine<L>& eng, Fn&& fn) {
-  if (auto* md = dynamic_cast<MultiDomainEngine<L>*>(&eng)) {
-    for (int d = 0; d < md->devices(); ++d) {
-      if (gpusim::Profiler* p = md->device_engine(d).profiler()) fn(*p);
-    }
-    return;
-  }
-  if (gpusim::Profiler* p = eng.profiler()) fn(*p);
-}
-
-template <class L, class Fn>
-void for_each_profiler(const Engine<L>& eng, Fn&& fn) {
-  if (const auto* md = dynamic_cast<const MultiDomainEngine<L>*>(&eng)) {
-    for (int d = 0; d < md->devices(); ++d) {
-      if (const gpusim::Profiler* p = md->device_engine(d).profiler()) fn(*p);
-    }
-    return;
-  }
-  if (const gpusim::Profiler* p = eng.profiler()) fn(*p);
-}
-
 }  // namespace
 
 template <class L>

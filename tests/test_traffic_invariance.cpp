@@ -44,12 +44,10 @@ namespace {
 /// profiler of its own, so sum its slab engines'.
 template <class L>
 gpusim::TrafficSnapshot total_traffic(const Engine<L>& eng) {
-  const auto* multi = dynamic_cast<const MultiDomainEngine<L>*>(&eng);
-  if (multi == nullptr) return eng.profiler()->total_traffic();
   gpusim::TrafficSnapshot t;
-  for (int d = 0; d < multi->devices(); ++d) {
-    t += multi->device_engine(d).profiler()->total_traffic();
-  }
+  for_each_profiler(eng, [&t](const gpusim::Profiler& p) {
+    t += p.total_traffic();
+  });
   return t;
 }
 
