@@ -20,8 +20,9 @@
 // interior (evaluated on the freshly updated t+1 field); tangential
 // derivatives use central differences of the prescribed (inlet) or
 // extrapolated (outlet) plane values. Because the pass talks to engines only
-// through moments_at/impose, ST, MR and reference engines share it verbatim,
-// which the equivalence tests rely on.
+// through read_moments/write_moments (reading each plane it needs once per
+// pass), ST, MR and reference engines share it verbatim, which the
+// equivalence tests rely on.
 #pragma once
 
 #include <array>

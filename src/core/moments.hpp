@@ -7,6 +7,7 @@
 // tables so that full tensor contractions can be written as flat loops.
 #pragma once
 
+#include <algorithm>
 #include <array>
 
 #include "core/hermite.hpp"
@@ -108,6 +109,22 @@ struct Moments {
   V rho = 1;
   std::array<V, D> u{};
   std::array<V, NP> pi{};
+
+  /// Values per node in the flat {rho, u, Pi} layout of snapshots and
+  /// checkpoints, and the conversions to and from it.
+  static constexpr int NV = 1 + D + NP;
+  void pack(V* v) const {
+    v[0] = rho;
+    std::copy(u.begin(), u.end(), v + 1);
+    std::copy(pi.begin(), pi.end(), v + 1 + D);
+  }
+  static Moments unpack(const V* v) {
+    Moments m;
+    m.rho = v[0];
+    std::copy(v + 1, v + 1 + D, m.u.begin());
+    std::copy(v + 1 + D, v + NV, m.pi.begin());
+    return m;
+  }
 
   [[nodiscard]] V pi_neq(int p) const {
     const auto [a, b] = pair(p);

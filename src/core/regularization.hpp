@@ -55,7 +55,9 @@ inline const char* to_string(Regularization r) {
 /// `pineq` is the (post-collision) non-equilibrium second moment, indexed by
 /// SymPairs<L::D>.
 template <class L, class T = real_t>
-T reconstruct_projective(int i, T rho, const T* u, const T* pineq) {
+[[gnu::always_inline]] inline T reconstruct_projective(int i, T rho,
+                                                       const T* u,
+                                                       const T* pineq) {
   using P = SymPairs<L::D>;
   const real_t inv_cs2 = real_t(1) / L::cs2;
 
@@ -77,7 +79,8 @@ T reconstruct_projective(int i, T rho, const T* u, const T* pineq) {
 
 /// Recursive non-equilibrium third-order moment a3^neq_abg from {u, Pi^neq}.
 template <class L, class T = real_t>
-T a3_neq(const T* u, const T* pineq, int a, int b, int g) {
+[[gnu::always_inline]] inline T a3_neq(const T* u, const T* pineq, int a,
+                                       int b, int g) {
   using P = SymPairs<L::D>;
   return u[a] * pineq[P::index(b, g)] + u[b] * pineq[P::index(a, g)] +
          u[g] * pineq[P::index(a, b)];
@@ -85,7 +88,8 @@ T a3_neq(const T* u, const T* pineq, int a, int b, int g) {
 
 /// Recursive non-equilibrium fourth-order moment a4^neq_abgd from {u, Pi^neq}.
 template <class L, class T = real_t>
-T a4_neq(const T* u, const T* pineq, int a, int b, int g, int d) {
+[[gnu::always_inline]] inline T a4_neq(const T* u, const T* pineq, int a,
+                                       int b, int g, int d) {
   using P = SymPairs<L::D>;
   return u[a] * u[b] * pineq[P::index(g, d)] +
          u[a] * u[g] * pineq[P::index(b, d)] +
@@ -97,7 +101,9 @@ T a4_neq(const T* u, const T* pineq, int a, int b, int g, int d) {
 
 /// Recursively regularized population (Eq. 14).
 template <class L, class T = real_t>
-T reconstruct_recursive(int i, T rho, const T* u, const T* pineq) {
+[[gnu::always_inline]] inline T reconstruct_recursive(int i, T rho,
+                                                      const T* u,
+                                                      const T* pineq) {
   using T3 = SymTriples<L::D>;
   using T4 = SymQuads<L::D>;
   const real_t inv_cs2 = real_t(1) / L::cs2;
@@ -133,17 +139,6 @@ T reconstruct_recursive(int i, T rho, const T* u, const T* pineq) {
   f += L::w[static_cast<std::size_t>(i)] *
        (third * (inv_cs6 / real_t(6)) + fourth * (inv_cs8 / real_t(24)));
   return f;
-}
-
-/// Dispatches between the two reconstructions at runtime. Hot kernels use the
-/// compile-time variants directly; this overload serves engines configured by
-/// a runtime enum.
-template <class L, class T = real_t>
-T reconstruct(Regularization scheme, int i, T rho, const T* u,
-              const T* pineq) {
-  return scheme == Regularization::kProjective
-             ? reconstruct_projective<L, T>(i, rho, u, pineq)
-             : reconstruct_recursive<L, T>(i, rho, u, pineq);
 }
 
 /// Compile-time sparsity of the third/fourth-order Hermite tensors on a

@@ -9,7 +9,7 @@
 // baseline: it matches MR's bandwidth profile story but not its traffic
 // reduction.
 //
-// moments_at/impose translate both storage parities to the shared
+// read_moments/write_moments translate both storage parities to the shared
 // pre-collision moment convention, so boundary passes and tests work
 // unchanged — including mid-cycle (the reported state after an even step is
 // the pre-collision state of one step ago).

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,10 @@ class DistEngine : public Engine<L> {
   [[nodiscard]] const char* pattern_name() const override {
     return addr_.name();
   }
-  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
-  void impose(int x, int y, int z, const Moments<L>& m) override;
+  void read_moments(const NodeRange& r,
+                    std::span<Moments<L>> out) const override;
+  void write_moments(const NodeRange& r,
+                     std::span<const Moments<L>> in) override;
   [[nodiscard]] std::size_t state_bytes() const override {
     return f_[0].size_bytes() + f_[1].size_bytes() + rim_.size_bytes() +
            (layout_.sparse ? tdev_.bytes() : 0);

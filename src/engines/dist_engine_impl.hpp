@@ -118,78 +118,100 @@ void DistEngine<L, ST, A>::build_rim_index() {
 }
 
 template <class L, class ST, class A>
-Moments<L> DistEngine<L, ST, A>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
+void DistEngine<L, ST, A>::read_moments(const NodeRange& r,
+                                        std::span<Moments<L>> out) const {
+  this->check_range(r, out.size());
   const int ph = phase();
-  const index_t cell = layout_.element(x, y, z);
-  real_t f[L::Q];
-  for (int i = 0; i < L::Q; ++i) {
-    const PopSlot s = addr_.locate(layout_, ph, x, y, z, cell, i);
-    f[i] = s.rim ? rim_.raw(s.at) : static_cast<real_t>(f_[cur_].raw(s.at));
-  }
-  Moments<L> m = compute_moments<L>(f);
-  if (!addr_.post_collision(ph)) return m;
-  // Post-collision storage: translate back to the pre-collision moment
-  // convention shared by all engines. Collision conserves rho and u; the
-  // non-equilibrium second moment was scaled by (1 - 1/tau).
+  const bool solids = this->geo_.has_solids();
+  // Post-collision storage translates back to the pre-collision moment
+  // convention shared by all engines: collision conserves rho and u, and
+  // scaled the non-equilibrium second moment by (1 - 1/tau).
   const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  if (factor != real_t(0)) {
-    for (int p = 0; p < Moments<L>::NP; ++p) {
-      const auto [a, b] = Moments<L>::pair(p);
-      const real_t eq = m.rho * m.u[static_cast<std::size_t>(a)] *
-                        m.u[static_cast<std::size_t>(b)];
-      m.pi[static_cast<std::size_t>(p)] =
-          eq + (m.pi[static_cast<std::size_t>(p)] - eq) / factor;
+  const bool unscale = addr_.post_collision(ph) && factor != real_t(0);
+  Moments<L>* m = out.data();
+  r.each([&](int x, int y, int z) {
+    if (solids && this->geo_.solid(x, y, z)) {
+      *m++ = solid_moments<L>();
+      return;
     }
-  }
-  return m;
+    const index_t cell = layout_.element(x, y, z);
+    real_t f[L::Q];
+#pragma GCC unroll 32
+    for (int i = 0; i < L::Q; ++i) {
+      const PopSlot s = addr_.locate(layout_, ph, x, y, z, cell, i);
+      f[i] = s.rim ? rim_.raw(s.at) : static_cast<real_t>(f_[cur_].raw(s.at));
+    }
+    Moments<L> mn = compute_moments<L>(f);
+    if (unscale) {
+      for (int p = 0; p < Moments<L>::NP; ++p) {
+        const auto [a, b] = Moments<L>::pair(p);
+        const real_t eq = mn.rho * mn.u[static_cast<std::size_t>(a)] *
+                          mn.u[static_cast<std::size_t>(b)];
+        mn.pi[static_cast<std::size_t>(p)] =
+            eq + (mn.pi[static_cast<std::size_t>(p)] - eq) / factor;
+      }
+    }
+    *m++ = mn;
+  });
 }
 
 template <class L, class ST, class A>
-void DistEngine<L, ST, A>::impose(int x, int y, int z, const Moments<L>& m) {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
+void DistEngine<L, ST, A>::write_moments(const NodeRange& r,
+                                         std::span<const Moments<L>> in) {
+  this->check_range(r, in.size());
   const int ph = phase();
   const bool post = addr_.post_collision(ph);
+  const bool solids = this->geo_.has_solids();
   // Pre-collision storage takes the exact population with these moments;
   // post-collision storage takes the post-collision image, so the next step
   // streams exactly what the pre-collision engines stream.
   const real_t factor = real_t(1) - real_t(1) / this->tau_;
-  real_t pineq[Moments<L>::NP];
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    pineq[p] = post ? factor * m.pi_neq(p) : m.pi_neq(p);
-  }
-  // One scheme branch per node, not per population.
-  real_t f[L::Q];
-  if (post && scheme_ == CollisionScheme::kRecursive) {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_recursive<L>(i, m.rho, m.u.data(), pineq);
-    }
-  } else {
-    for (int i = 0; i < L::Q; ++i) {
-      f[i] = reconstruct_projective<L>(i, m.rho, m.u.data(), pineq);
-    }
-  }
-  const index_t cell = layout_.element(x, y, z);
-  real_t rho_post = 0;
-  bool have_rho = false;
-  for (int i = 0; i < L::Q; ++i) {
-    const PopSlot s = addr_.locate(layout_, ph, x, y, z, cell, i);
-    if (!s.rim) {
-      f_[cur_].raw(s.at) = static_cast<ST>(f[i]);
-      continue;
-    }
-    if (!have_rho) {
-      // The narrowed density the moving-wall correction reads next step —
-      // the sum ST's gather forms from the node's storage-narrowed values.
-      for (int k = 0; k < L::Q; ++k) {
-        rho_post += static_cast<real_t>(static_cast<ST>(f[k]));
+  const auto write = [&](auto recursive) {
+    const Moments<L>* m = in.data();
+    r.each([&](int x, int y, int z) {
+      const Moments<L> mn = *m++;
+      if (solids && this->geo_.solid(x, y, z)) return;
+      real_t pineq[Moments<L>::NP];
+      for (int p = 0; p < Moments<L>::NP; ++p) {
+        pineq[p] = post ? factor * mn.pi_neq(p) : mn.pi_neq(p);
       }
-      have_rho = true;
-    }
-    rim_.raw(s.at) = static_cast<real_t>(static_cast<ST>(f[i]));
-    rim_.raw(s.at + 1) = rho_post;
+      real_t f[L::Q];
+#pragma GCC unroll 32
+      for (int i = 0; i < L::Q; ++i) {
+        if constexpr (decltype(recursive)::value) {
+          f[i] = reconstruct_recursive<L>(i, mn.rho, mn.u.data(), pineq);
+        } else {
+          f[i] = reconstruct_projective<L>(i, mn.rho, mn.u.data(), pineq);
+        }
+      }
+      const index_t cell = layout_.element(x, y, z);
+      real_t rho_post = 0;
+      bool have_rho = false;
+#pragma GCC unroll 32
+      for (int i = 0; i < L::Q; ++i) {
+        const PopSlot s = addr_.locate(layout_, ph, x, y, z, cell, i);
+        if (!s.rim) {
+          f_[cur_].raw(s.at) = static_cast<ST>(f[i]);
+          continue;
+        }
+        if (!have_rho) {
+          // The narrowed density the moving-wall correction reads next step
+          // — the sum ST's gather forms from the node's storage-narrowed
+          // values.
+          for (int k = 0; k < L::Q; ++k) {
+            rho_post += static_cast<real_t>(static_cast<ST>(f[k]));
+          }
+          have_rho = true;
+        }
+        rim_.raw(s.at) = static_cast<real_t>(static_cast<ST>(f[i]));
+        rim_.raw(s.at + 1) = rho_post;
+      }
+    });
+  };
+  if (post && scheme_ == CollisionScheme::kRecursive) {
+    write(std::true_type{});
+  } else {
+    write(std::false_type{});
   }
 }
 

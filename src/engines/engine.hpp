@@ -15,14 +15,21 @@
 //                     streaming and a sliding window), projective or
 //                     recursive regularization.
 //
-// The interface is deliberately moment-centric: `moments_at`/`impose`
-// exchange the *full* hydrodynamic state {rho, u, Pi}, which every
-// representation can produce and accept exactly. Boundary-condition passes
-// and tests are written once against this interface.
+// The interface is deliberately moment-centric: every engine exchanges the
+// *full* hydrodynamic state {rho, u, Pi}, which every representation can
+// produce and accept exactly. Host state access is one virtual pair over an
+// axis-aligned node box walked x-fastest — `read_moments`/`write_moments` —
+// implemented once per engine family on its own walk, with the per-call
+// invariants (phase, layer, scheme) hoisted out of the node loop. Whole-field,
+// plane and row users (initialize, snapshots, checkpoints, IO, boundary
+// passes, the ghost exchange, observables) stream rows or planes through it;
+// `moments_at`/`impose` are non-virtual one-node wrappers kept for per-link
+// and per-node users (obstacle force evaluation, fault injection, tests).
 #pragma once
 
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,6 +78,40 @@ struct FrontierSpec {
   [[nodiscard]] bool empty() const { return left <= 0 && right <= 0; }
 };
 
+/// The axis-aligned node box [x0, x1) x [y0, y1) x [z0, z1) of one bulk
+/// state access, walked x-fastest, then y, then z.
+struct NodeRange {
+  int x0 = 0, x1 = 0;
+  int y0 = 0, y1 = 0;
+  int z0 = 0, z1 = 0;
+
+  static NodeRange node(int x, int y, int z) {
+    return {x, x + 1, y, y + 1, z, z + 1};
+  }
+  /// Nodes [xa, xb) of row (y, z).
+  static NodeRange row(int xa, int xb, int y, int z) {
+    return {xa, xb, y, y + 1, z, z + 1};
+  }
+  /// Planes [xa, xb) of box `b`.
+  static NodeRange x_planes(const Box& b, int xa, int xb) {
+    return {xa, xb, 0, b.ny, 0, b.nz};
+  }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(x1 - x0) *
+           static_cast<std::size_t>(y1 - y0) *
+           static_cast<std::size_t>(z1 - z0);
+  }
+  /// Calls fn(x, y, z) for every node in walk order.
+  template <class Fn>
+  void each(Fn&& fn) const {
+    for (int z = z0; z < z1; ++z) {
+      for (int y = y0; y < y1; ++y) {
+        for (int x = x0; x < x1; ++x) fn(x, y, z);
+      }
+    }
+  }
+};
+
 template <class L>
 class Engine {
  public:
@@ -93,25 +134,47 @@ class Engine {
 
   /// Sets the full state of every node; `pi` of the returned moments is the
   /// complete second moment (use rho*u*u for an equilibrium start). Solid
-  /// nodes hold no state and are skipped.
+  /// nodes hold no state: `init` is called for fluid nodes only. Fills one
+  /// row at a time and writes it through write_moments.
   virtual void initialize(const InitFn& init) {
     const Box& b = geo_.box;
     const bool solids = geo_.has_solids();
+    std::vector<Moments<L>> row(static_cast<std::size_t>(b.nx));
     for (int z = 0; z < b.nz; ++z) {
       for (int y = 0; y < b.ny; ++y) {
         for (int x = 0; x < b.nx; ++x) {
           if (solids && geo_.solid(x, y, z)) continue;
-          impose(x, y, z, init(x, y, z));
+          row[static_cast<std::size_t>(x)] = init(x, y, z);
         }
+        write_moments(NodeRange::row(0, b.nx, y, z), row);
       }
     }
   }
 
-  /// Full hydrodynamic state of one node at the current time.
-  [[nodiscard]] virtual Moments<L> moments_at(int x, int y, int z) const = 0;
+  /// Full hydrodynamic state of every node of `r` at the current time, in
+  /// walk order; solid nodes read as solid_moments(). Uncounted host access.
+  /// Throws OutOfRangeError for a box outside the domain and ConfigError
+  /// when out.size() != r.size().
+  virtual void read_moments(const NodeRange& r,
+                            std::span<Moments<L>> out) const = 0;
 
-  /// Overwrites the state of one node (used by inlet/outlet passes).
-  virtual void impose(int x, int y, int z, const Moments<L>& m) = 0;
+  /// Overwrites the state of every fluid node of `r` from `in` (walk order);
+  /// solid nodes are skipped. Same access rules and errors as read_moments.
+  virtual void write_moments(const NodeRange& r,
+                             std::span<const Moments<L>> in) = 0;
+
+  /// One-node read (per-node and per-link users; fields use read_moments).
+  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const {
+    Moments<L> m;
+    read_moments(NodeRange::node(x, y, z), std::span<Moments<L>>(&m, 1));
+    return m;
+  }
+
+  /// One-node write (per-node users; fields use write_moments).
+  void impose(int x, int y, int z, const Moments<L>& m) {
+    write_moments(NodeRange::node(x, y, z),
+                  std::span<const Moments<L>>(&m, 1));
+  }
 
   /// Bytes of simulation state resident in (simulated) device memory; basis
   /// of the paper's memory-footprint comparison.
@@ -210,7 +273,7 @@ class Engine {
                                       unsigned /*bit*/) {}
 
   /// Exact raw-state snapshot surface (resilience rollback). The moment
-  /// interface is portable but *projecting* on distribution engines: impose()
+  /// interface is portable but *projecting* on distribution engines: a write
   /// rebuilds populations from {rho, u, Pi} and discards higher-order
   /// non-equilibrium content, so a moment round trip is only equal to
   /// ~1e-16. Engines that can serialize their device-resident state
@@ -235,6 +298,21 @@ class Engine {
 
  protected:
   virtual void do_step() = 0;
+
+  /// The access rules shared by every read_moments/write_moments.
+  void check_range(const NodeRange& r, std::size_t n) const {
+    const Box& b = geo_.box;
+    const auto at = [&] {
+      return std::string(pattern_name()) + ": node box at x=" +
+             std::to_string(r.x0) + " y=" + std::to_string(r.y0) +
+             " z=" + std::to_string(r.z0);
+    };
+    if (r.x0 < 0 || r.x0 > r.x1 || r.x1 > b.nx || r.y0 < 0 || r.y0 > r.y1 ||
+        r.y1 > b.ny || r.z0 < 0 || r.z0 > r.z1 || r.z1 > b.nz) {
+      throw OutOfRangeError(at() + " leaves the domain");
+    }
+    if (n != r.size()) throw ConfigError(at() + ": span length != node count");
+  }
 
   /// Split-step hook. The default runs the entire step as "frontier": every
   /// plane is final when the callback fires, so correctness (and
@@ -261,6 +339,20 @@ Moments<L> solid_moments() {
   Moments<L> m;
   m.rho = 0;
   return m;
+}
+
+/// Streams the nodes of `r` row by row through read_moments: calls
+/// fn(y, z, row), row[i] being the state of node (r.x0 + i, y, z). Buffers
+/// one row, never the field.
+template <class L, class Fn>
+void for_each_row(const Engine<L>& eng, const NodeRange& r, Fn&& fn) {
+  std::vector<Moments<L>> row(static_cast<std::size_t>(r.x1 - r.x0));
+  for (int z = r.z0; z < r.z1; ++z) {
+    for (int y = r.y0; y < r.y1; ++y) {
+      eng.read_moments(NodeRange::row(r.x0, r.x1, y, z), row);
+      fn(y, z, std::span<const Moments<L>>(row));
+    }
+  }
 }
 
 /// Equilibrium-state helper for initialize(): pi = rho u u.

@@ -9,8 +9,8 @@
 // lattice word has a unique reader == writer thread, so the update is
 // race-free in place — the invariant the static analyzer re-proves from
 // analysis::ep_contract. Every step is a full stream+collide, so the stored
-// state is always the post-collision image and moments_at/impose work at
-// any parity.
+// state is always the post-collision image and the moment reads and writes
+// work at any parity.
 //
 // Boundary links (face walls, open faces, solid neighbours) go through the
 // rim, two words [value, density] per blocked link written by the node's

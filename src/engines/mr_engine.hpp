@@ -56,6 +56,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -97,8 +98,10 @@ class MrEngine final : public Engine<L> {
   [[nodiscard]] const char* pattern_name() const override {
     return scheme_ == Regularization::kProjective ? "MR-P" : "MR-R";
   }
-  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
-  void impose(int x, int y, int z, const Moments<L>& m) override;
+  void read_moments(const NodeRange& r,
+                    std::span<Moments<L>> out) const override;
+  void write_moments(const NodeRange& r,
+                     std::span<const Moments<L>> in) override;
   [[nodiscard]] std::size_t state_bytes() const override;
   [[nodiscard]] StoragePrecision storage_precision() const override {
     return precision_of_v<ST>;
@@ -249,10 +252,12 @@ class MrEngine final : public Engine<L> {
   [[nodiscard]] MomentIndex moment_index() const { return {layers(), ncols_}; }
   /// Physical sweep layer of logical layer `s` at timestep `t`.
   [[nodiscard]] int phys_layer(int s, long long t) const;
-  /// Compressed column id (the flat cross index when dense, the column-map
-  /// entry when sparse) and physical layer of in-domain node (x, y, z) at
-  /// the current step. Host-side (uncounted).
-  [[nodiscard]] std::pair<index_t, int> host_node(int x, int y, int z) const;
+  /// Walks the nodes of `r` in order, calling fn(col, sp) with the
+  /// compressed column id (the flat cross index when dense, the column-map
+  /// entry when sparse; -1 for a solid node) and the current physical layer,
+  /// computed once per row. Host-side (uncounted).
+  template <class Fn>
+  void host_walk(const NodeRange& r, Fn&& fn) const;
 
   void ensure_records();
   void ensure_frontier_record();

@@ -104,47 +104,72 @@ int MrEngine<L, ST>::phys_layer(int s, long long t) const {
 }
 
 template <class L, class ST>
-std::pair<index_t, int> MrEngine<L, ST>::host_node(int x, int y,
-                                                   int z) const {
-  const index_t flat =
-      static_cast<index_t>(L::D == 2 ? 0 : y) * this->geo_.box.nx + x;
-  const index_t col =
-      sparse_ ? static_cast<index_t>(std::as_const(colmap_).raw(flat)) : flat;
-  return {col, phys_layer(L::D == 2 ? y : z, this->t_)};
+template <class Fn>
+void MrEngine<L, ST>::host_walk(const NodeRange& r, Fn&& fn) const {
+  const bool solids = this->geo_.has_solids();
+  const index_t nx = this->geo_.box.nx;
+  for (int z = r.z0; z < r.z1; ++z) {
+    for (int y = r.y0; y < r.y1; ++y) {
+      const int sp = phys_layer(L::D == 2 ? y : z, this->t_);
+      const index_t row = static_cast<index_t>(L::D == 2 ? 0 : y) * nx;
+      for (int x = r.x0; x < r.x1; ++x) {
+        const bool solid = solids && this->geo_.solid(x, y, z);
+        fn(solid     ? index_t{-1}
+           : sparse_ ? index_t{std::as_const(colmap_).raw(row + x)}
+                     : row + x,
+           sp);
+      }
+    }
+  }
 }
 
 template <class L, class ST>
-Moments<L> MrEngine<L, ST>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
-  const auto [col, sp] = host_node(x, y, z);
+void MrEngine<L, ST>::read_moments(const NodeRange& r,
+                                   std::span<Moments<L>> out) const {
+  this->check_range(r, out.size());
   const MomentIndex at = moment_index();
-  const auto get = [&](int k) {
-    return static_cast<real_t>(mom_[cur_].raw(at(k, col, sp)));
-  };
-  Moments<L> m;
-  m.rho = get(0);
-  for (int a = 0; a < L::D; ++a) m.u[static_cast<std::size_t>(a)] = get(1 + a);
-  for (int p = 0; p < NP; ++p) {
-    m.pi[static_cast<std::size_t>(p)] = get(1 + L::D + p);
-  }
-  return m;
+  const auto& mom = mom_[cur_];
+  Moments<L>* m = out.data();
+  host_walk(r, [&](index_t col, int sp) {
+    if (col < 0) {
+      *m++ = solid_moments<L>();
+      return;
+    }
+    const auto get = [&](int k) {
+      return static_cast<real_t>(mom.raw(at(k, col, sp)));
+    };
+    m->rho = get(0);
+    for (int a = 0; a < L::D; ++a) {
+      m->u[static_cast<std::size_t>(a)] = get(1 + a);
+    }
+    for (int p = 0; p < NP; ++p) {
+      m->pi[static_cast<std::size_t>(p)] = get(1 + L::D + p);
+    }
+    ++m;
+  });
 }
 
 template <class L, class ST>
-void MrEngine<L, ST>::impose(int x, int y, int z, const Moments<L>& m) {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
-  const auto [col, sp] = host_node(x, y, z);
+void MrEngine<L, ST>::write_moments(const NodeRange& r,
+                                    std::span<const Moments<L>> in) {
+  this->check_range(r, in.size());
   const MomentIndex at = moment_index();
-  const auto put = [&](int k, real_t v) {
-    mom_[cur_].raw(at(k, col, sp)) = static_cast<ST>(v);
-  };
-  put(0, m.rho);
-  for (int a = 0; a < L::D; ++a) put(1 + a, m.u[static_cast<std::size_t>(a)]);
-  for (int p = 0; p < NP; ++p) {
-    put(1 + L::D + p, m.pi[static_cast<std::size_t>(p)]);
-  }
+  auto& mom = mom_[cur_];
+  const Moments<L>* m = in.data();
+  host_walk(r, [&](index_t col, int sp) {
+    const Moments<L>& mn = *m++;
+    if (col < 0) return;
+    const auto put = [&](int k, real_t v) {
+      mom.raw(at(k, col, sp)) = static_cast<ST>(v);
+    };
+    put(0, mn.rho);
+    for (int a = 0; a < L::D; ++a) {
+      put(1 + a, mn.u[static_cast<std::size_t>(a)]);
+    }
+    for (int p = 0; p < NP; ++p) {
+      put(1 + L::D + p, mn.pi[static_cast<std::size_t>(p)]);
+    }
+  });
 }
 
 template <class L, class ST>

@@ -28,32 +28,49 @@ const char* ReferenceEngine<L>::pattern_name() const {
 }
 
 template <class L>
-Moments<L> ReferenceEngine<L>::moments_at(int x, int y, int z) const {
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) {
-    return solid_moments<L>();
-  }
-  const index_t cell = this->geo_.box.idx(x, y, z);
-  real_t f[L::Q];
-  for (int i = 0; i < L::Q; ++i) {
-    f[i] = f_[cur_][static_cast<std::size_t>(soa(i, cell))];
-  }
-  return compute_moments<L>(f);
+void ReferenceEngine<L>::read_moments(const NodeRange& r,
+                                      std::span<Moments<L>> out) const {
+  this->check_range(r, out.size());
+  const bool solids = this->geo_.has_solids();
+  const std::vector<real_t>& fc = f_[cur_];
+  Moments<L>* m = out.data();
+  r.each([&](int x, int y, int z) {
+    if (solids && this->geo_.solid(x, y, z)) {
+      *m++ = solid_moments<L>();
+      return;
+    }
+    const index_t cell = this->geo_.box.idx(x, y, z);
+    real_t f[L::Q];
+    for (int i = 0; i < L::Q; ++i) {
+      f[i] = fc[static_cast<std::size_t>(soa(i, cell))];
+    }
+    *m++ = compute_moments<L>(f);
+  });
 }
 
 template <class L>
-void ReferenceEngine<L>::impose(int x, int y, int z, const Moments<L>& m) {
+void ReferenceEngine<L>::write_moments(const NodeRange& r,
+                                       std::span<const Moments<L>> in) {
   // The stored state is pre-collision; the projective reconstruction is the
-  // unique population whose first three Hermite moments equal `m` exactly
-  // and whose higher-order non-equilibrium content vanishes. All engines use
-  // this convention so imposed states produce identical trajectories.
-  if (this->geo_.has_solids() && this->geo_.solid(x, y, z)) return;
-  const index_t cell = this->geo_.box.idx(x, y, z);
-  real_t pineq[Moments<L>::NP];
-  for (int p = 0; p < Moments<L>::NP; ++p) pineq[p] = m.pi_neq(p);
-  for (int i = 0; i < L::Q; ++i) {
-    f_[cur_][static_cast<std::size_t>(soa(i, cell))] =
-        reconstruct_projective<L>(i, m.rho, m.u.data(), pineq);
-  }
+  // unique population whose first three Hermite moments equal the written
+  // moments exactly and whose higher-order non-equilibrium content vanishes.
+  // All engines use this convention so written states produce identical
+  // trajectories.
+  this->check_range(r, in.size());
+  const bool solids = this->geo_.has_solids();
+  std::vector<real_t>& fc = f_[cur_];
+  const Moments<L>* m = in.data();
+  r.each([&](int x, int y, int z) {
+    const Moments<L>& mn = *m++;
+    if (solids && this->geo_.solid(x, y, z)) return;
+    const index_t cell = this->geo_.box.idx(x, y, z);
+    real_t pineq[Moments<L>::NP];
+    for (int p = 0; p < Moments<L>::NP; ++p) pineq[p] = mn.pi_neq(p);
+    for (int i = 0; i < L::Q; ++i) {
+      fc[static_cast<std::size_t>(soa(i, cell))] =
+          reconstruct_projective<L>(i, mn.rho, mn.u.data(), pineq);
+    }
+  });
 }
 
 template <class L>

@@ -15,6 +15,7 @@
 //    faces are rebuilt by the post-step boundary pass.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/collision.hpp"
@@ -28,8 +29,10 @@ class ReferenceEngine final : public Engine<L> {
   ReferenceEngine(Geometry geo, real_t tau, CollisionScheme scheme);
 
   [[nodiscard]] const char* pattern_name() const override;
-  [[nodiscard]] Moments<L> moments_at(int x, int y, int z) const override;
-  void impose(int x, int y, int z, const Moments<L>& m) override;
+  void read_moments(const NodeRange& r,
+                    std::span<Moments<L>> out) const override;
+  void write_moments(const NodeRange& r,
+                     std::span<const Moments<L>> in) override;
   [[nodiscard]] std::size_t state_bytes() const override;
 
   [[nodiscard]] CollisionScheme scheme() const { return scheme_; }

@@ -1,6 +1,5 @@
 #include "fleet/job.hpp"
 
-#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -62,30 +61,23 @@ std::unique_ptr<Engine<D2Q9>> make_job_engine(const JobSpec& spec) {
 
 JobFields job_fields(const Engine<D2Q9>& eng) {
   JobFields out;
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  const auto mix = [&h](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffULL;
-      h *= 1099511628211ULL;  // FNV-1a prime
-    }
-  };
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](double v) { h = fnv1a(h, &v, sizeof v); };
   const Box& b = eng.geometry().box;
-  for (int y = 0; y < b.ny; ++y) {
-    for (int x = 0; x < b.nx; ++x) {
-      const auto m = eng.moments_at(x, y, 0);
-      mix(m.rho);
-      mix(m.u[0]);
-      mix(m.u[1]);
-      mix(m.pi[0]);
-      mix(m.pi[1]);
-      mix(m.pi[2]);
-      out.mass += m.rho;
-      out.kinetic_energy +=
-          0.5 * m.rho * (m.u[0] * m.u[0] + m.u[1] * m.u[1]);
-    }
-  }
+  for_each_row(eng, NodeRange{0, b.nx, 0, b.ny, 0, 1},
+               [&](int, int, std::span<const Moments<D2Q9>> row) {
+                 for (const Moments<D2Q9>& m : row) {
+                   mix(m.rho);
+                   mix(m.u[0]);
+                   mix(m.u[1]);
+                   mix(m.pi[0]);
+                   mix(m.pi[1]);
+                   mix(m.pi[2]);
+                   out.mass += m.rho;
+                   out.kinetic_energy +=
+                       0.5 * m.rho * (m.u[0] * m.u[0] + m.u[1] * m.u[1]);
+                 }
+               });
   out.moment_hash = h;
   return out;
 }

@@ -6,15 +6,6 @@ namespace mlbm {
 
 namespace {
 
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 template <class T>
 std::uint64_t fnv1a_pod(std::uint64_t h, const T& v) {
   return fnv1a(h, &v, sizeof(T));
@@ -23,7 +14,7 @@ std::uint64_t fnv1a_pod(std::uint64_t h, const T& v) {
 }  // namespace
 
 std::uint64_t Geometry::hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvOffsetBasis;
   h = fnv1a_pod(h, box.nx);
   h = fnv1a_pod(h, box.ny);
   h = fnv1a_pod(h, box.nz);

@@ -31,6 +31,18 @@
 
 namespace mlbm {
 
+/// 64-bit FNV-1a: folds `n` bytes at `data` into hash state `h` (start from
+/// kFnvOffsetBasis). Geometry::hash and the checkpoint payload digest use it.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+inline std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// Per-node classification grid plus boundary data (inlet velocities etc.).
 struct Geometry {
   Box box;

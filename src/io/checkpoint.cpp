@@ -1,10 +1,12 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,35 +28,14 @@ namespace {
 // mismatched tile map. The node-value payload still covers every node (solid
 // nodes carry their rest-state moments) so payload offsets stay
 // geometry-independent.
+// Format v4 ("MLBMCP04"): the v3 layout followed by a trailer holding the
+// 64-bit FNV-1a digest of the payload bytes as written. It is verified on the
+// buffered payload before the first write, so a flipped payload bit fails
+// loudly (Kind::kDigest) instead of loading silently.
 constexpr std::uint64_t kMagicV1 = 0x4d4c424d43503031ULL;  // "MLBMCP01"
 constexpr std::uint64_t kMagicV2 = 0x4d4c424d43503032ULL;  // "MLBMCP02"
 constexpr std::uint64_t kMagicV3 = 0x4d4c424d43503033ULL;  // "MLBMCP03"
-
-/// Values per node: rho + u + Pi.
-template <class L>
-constexpr int node_values() {
-  return 1 + L::D + Moments<L>::NP;
-}
-
-template <class L>
-void pack_node(const Moments<L>& m, real_t* v) {
-  v[0] = m.rho;
-  for (int a = 0; a < L::D; ++a) v[1 + a] = m.u[static_cast<std::size_t>(a)];
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    v[1 + L::D + p] = m.pi[static_cast<std::size_t>(p)];
-  }
-}
-
-template <class L>
-Moments<L> unpack_node(const real_t* v) {
-  Moments<L> m;
-  m.rho = v[0];
-  for (int a = 0; a < L::D; ++a) m.u[static_cast<std::size_t>(a)] = v[1 + a];
-  for (int p = 0; p < Moments<L>::NP; ++p) {
-    m.pi[static_cast<std::size_t>(p)] = v[1 + L::D + p];
-  }
-  return m;
-}
+constexpr std::uint64_t kMagicV4 = 0x4d4c424d43503034ULL;  // "MLBMCP04"
 
 }  // namespace
 
@@ -86,7 +67,7 @@ void save_checkpoint(const Engine<L>& eng, const std::string& path) {
       prec == StoragePrecision::kFP32 ? std::int32_t{1} : std::int32_t{0},
       flags_present};
   const std::uint64_t geo_hash = geo.hash();
-  out.write(reinterpret_cast<const char*>(&kMagicV3), sizeof(kMagicV3));
+  out.write(reinterpret_cast<const char*>(&kMagicV4), sizeof(kMagicV4));
   out.write(reinterpret_cast<const char*>(header), sizeof(header));
   out.write(reinterpret_cast<const char*>(&geo_hash), sizeof(geo_hash));
   if (flags_present != 0) {
@@ -98,23 +79,34 @@ void save_checkpoint(const Engine<L>& eng, const std::string& path) {
   // Values are written in the engine's *storage* precision: what the device
   // held is what lands on disk, so restoring an FP32 run loses nothing
   // beyond what storage already rounded — and an MR fp32 round-trip is
-  // bit-exact (moments are the stored representation).
-  constexpr int NV = node_values<L>();
-  real_t v[NV];
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        pack_node<L>(eng.moments_at(x, y, z), v);
-        if (prec == StoragePrecision::kFP32) {
-          float vf[NV];
-          for (int k = 0; k < NV; ++k) vf[k] = static_cast<float>(v[k]);
-          out.write(reinterpret_cast<const char*>(vf), sizeof(vf));
-        } else {
-          out.write(reinterpret_cast<const char*>(v), sizeof(v));
-        }
-      }
-    }
-  }
+  // bit-exact (moments are the stored representation). Rows stream through
+  // read_moments; the digest covers exactly the bytes written.
+  constexpr int NV = Moments<L>::NV;
+  const bool fp32 = prec == StoragePrecision::kFP32;
+  std::vector<char> bytes(static_cast<std::size_t>(b.nx) * NV *
+                          (fp32 ? sizeof(float) : sizeof(real_t)));
+  std::uint64_t digest = kFnvOffsetBasis;
+  for_each_row(eng, NodeRange{0, b.nx, 0, b.ny, 0, b.nz},
+               [&](int, int, std::span<const Moments<L>> row) {
+                 char* p = bytes.data();
+                 for (const Moments<L>& m : row) {
+                   real_t v[NV];
+                   m.pack(v);
+                   if (fp32) {
+                     float vf[NV];
+                     std::copy(v, v + NV, vf);
+                     std::memcpy(p, vf, sizeof(vf));
+                     p += sizeof(vf);
+                   } else {
+                     std::memcpy(p, v, sizeof(v));
+                     p += sizeof(v);
+                   }
+                 }
+                 digest = fnv1a(digest, bytes.data(), bytes.size());
+                 out.write(bytes.data(),
+                           static_cast<std::streamsize>(bytes.size()));
+               });
+  out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
   out.flush();
   if (!out) {
     std::remove(tmp.c_str());
@@ -141,8 +133,8 @@ void save_checkpoint(const Engine<L>& eng, const std::string& path) {
 template <class L>
 void load_checkpoint(Engine<L>& eng, const std::string& path) {
   // Hardened load: the file is fully read and validated — magic, header
-  // completeness, extents, precision tag, exact payload size — BEFORE the
-  // first impose(), so a malformed file raises a typed CheckpointError and
+  // completeness, extents, precision tag, exact payload size, payload
+  // digest (v4) — BEFORE the first write_moments, so a malformed file raises a typed CheckpointError and
   // leaves the target engine bit-for-bit untouched (no half-restored state).
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -157,7 +149,8 @@ void load_checkpoint(Engine<L>& eng, const std::string& path) {
         CheckpointError::Kind::kTruncated,
         "load_checkpoint: file ends inside the magic: " + path);
   }
-  if (magic != kMagicV1 && magic != kMagicV2 && magic != kMagicV3) {
+  if (magic != kMagicV1 && magic != kMagicV2 && magic != kMagicV3 &&
+      magic != kMagicV4) {
     throw CheckpointError(CheckpointError::Kind::kBadMagic,
                           "load_checkpoint: not a checkpoint file: " + path);
   }
@@ -174,7 +167,8 @@ void load_checkpoint(Engine<L>& eng, const std::string& path) {
   }
 
   std::uint64_t file_hash = 0;
-  if (magic == kMagicV3) {
+  const bool geometry_tagged = magic == kMagicV3 || magic == kMagicV4;
+  if (geometry_tagged) {
     in.read(reinterpret_cast<char*>(&file_hash), sizeof(file_hash));
     if (in.gcount() != static_cast<std::streamsize>(sizeof(file_hash))) {
       throw CheckpointError(
@@ -212,7 +206,7 @@ void load_checkpoint(Engine<L>& eng, const std::string& path) {
             std::to_string(b.nz) + ": " + path);
   }
 
-  if (magic == kMagicV3) {
+  if (geometry_tagged) {
     const Geometry& geo = eng.geometry();
     if (header[6] != 0 && header[6] != 1) {
       throw CheckpointError(
@@ -253,7 +247,7 @@ void load_checkpoint(Engine<L>& eng, const std::string& path) {
     }
   }
 
-  constexpr int NV = node_values<L>();
+  constexpr int NV = Moments<L>::NV;
   const std::size_t elem =
       file_prec == StoragePrecision::kFP32 ? sizeof(float) : sizeof(real_t);
   const std::size_t payload_bytes =
@@ -267,31 +261,49 @@ void load_checkpoint(Engine<L>& eng, const std::string& path) {
         "load_checkpoint: payload is " + std::to_string(in.gcount()) + " of " +
             std::to_string(payload_bytes) + " bytes: " + path);
   }
+  std::uint64_t file_digest = 0;
+  if (magic == kMagicV4) {
+    in.read(reinterpret_cast<char*>(&file_digest), sizeof(file_digest));
+    if (in.gcount() != static_cast<std::streamsize>(sizeof(file_digest))) {
+      throw CheckpointError(
+          CheckpointError::Kind::kTruncated,
+          "load_checkpoint: file ends inside the payload digest: " + path);
+    }
+  }
   if (in.peek() != std::ifstream::traits_type::eof()) {
     throw CheckpointError(
         CheckpointError::Kind::kTrailing,
         "load_checkpoint: trailing bytes after the payload: " + path);
   }
+  if (magic == kMagicV4 &&
+      fnv1a(kFnvOffsetBasis, payload.data(), payload.size()) != file_digest) {
+    throw CheckpointError(
+        CheckpointError::Kind::kDigest,
+        "load_checkpoint: payload digest mismatch (corrupted payload): " +
+            path);
+  }
 
   // Values convert to the compute type on read; the target engine may use
   // either storage precision (portability across patterns extends to
   // precision: an fp32 file restores into an fp64 engine and vice versa).
-  real_t v[NV];
+  std::vector<Moments<L>> row(static_cast<std::size_t>(b.nx));
   const char* p = payload.data();
   for (int z = 0; z < b.nz; ++z) {
     for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
+      for (Moments<L>& m : row) {
+        real_t v[NV];
         if (file_prec == StoragePrecision::kFP32) {
           float vf[NV];
           std::memcpy(vf, p, sizeof(vf));
-          for (int k = 0; k < NV; ++k) v[k] = static_cast<real_t>(vf[k]);
+          std::copy(vf, vf + NV, v);
           p += sizeof(vf);
         } else {
           std::memcpy(v, p, sizeof(v));
           p += sizeof(v);
         }
-        eng.impose(x, y, z, unpack_node<L>(v));
+        m = Moments<L>::unpack(v);
       }
+      eng.write_moments(NodeRange::row(0, b.nx, y, z), row);
     }
   }
 }

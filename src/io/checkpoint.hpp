@@ -10,7 +10,9 @@
 // the domain has solid nodes — the per-node flag field; load validates both
 // against the target engine and raises CheckpointError::Kind::kGeometry on
 // mismatch, so a restore onto the wrong obstacle layout fails loudly.
-// v1/v2 files remain loadable (they predate solid geometries).
+// Format v4 ("MLBMCP04") appends a 64-bit FNV-1a digest of the payload
+// bytes; a mismatch raises Kind::kDigest before any state is written.
+// v1-v3 files remain loadable.
 #pragma once
 
 #include <string>
@@ -22,13 +24,14 @@ namespace mlbm {
 template <class L>
 void save_checkpoint(const Engine<L>& eng, const std::string& path);
 
-/// Restores node states via impose(); the target engine must have matching
-/// box extents. The engine's step counter is not part of the state.
+/// Restores node states row by row via write_moments; the target engine must
+/// have matching box extents. The engine's step counter is not part of the
+/// state.
 ///
 /// The file is validated in full (magic, header, extents, precision tag,
-/// exact payload size) before the first impose(): a malformed or truncated
-/// file raises a `CheckpointError` with the malformation classified and
-/// leaves the engine untouched.
+/// exact payload size, payload digest) before the first write: a malformed,
+/// truncated or corrupted file raises a `CheckpointError` with the
+/// malformation classified and leaves the engine untouched.
 template <class L>
 void load_checkpoint(Engine<L>& eng, const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "io/vtk_writer.hpp"
 
 #include <fstream>
+#include <span>
 
 #include "util/error.hpp"
 
@@ -19,26 +20,20 @@ void write_vtk(const Engine<L>& eng, const std::string& path) {
       << "ORIGIN 0 0 0\nSPACING 1 1 1\n"
       << "POINT_DATA " << b.cells() << "\n";
 
+  const NodeRange all{0, b.nx, 0, b.ny, 0, b.nz};
   out << "SCALARS density double 1\nLOOKUP_TABLE default\n";
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        out << eng.moments_at(x, y, z).rho << "\n";
-      }
-    }
-  }
+  for_each_row(eng, all, [&out](int, int, std::span<const Moments<L>> row) {
+    for (const Moments<L>& m : row) out << m.rho << "\n";
+  });
 
   out << "VECTORS velocity double\n";
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        const Moments<L> m = eng.moments_at(x, y, z);
-        real_t uz = 0;
-        if constexpr (L::D == 3) uz = m.u[2];
-        out << m.u[0] << " " << m.u[1] << " " << uz << "\n";
-      }
+  for_each_row(eng, all, [&out](int, int, std::span<const Moments<L>> row) {
+    for (const Moments<L>& m : row) {
+      real_t uz = 0;
+      if constexpr (L::D == 3) uz = m.u[2];
+      out << m.u[0] << " " << m.u[1] << " " << uz << "\n";
     }
-  }
+  });
 
   // Obstacle geometries additionally carry the flag field so ParaView can
   // threshold the solid region away. Solid nodes hold no state: their

@@ -117,17 +117,6 @@ MultiDomainEngine<L>::MultiDomainEngine(Geometry global, real_t tau, int ndev,
 }
 
 template <class L>
-int MultiDomainEngine<L>::owner_of(int gx) const {
-  for (int d = 0; d < devices(); ++d) {
-    const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
-    if (gx >= s.x_begin && gx < s.x_end) return d;
-  }
-  throw OutOfRangeError("MultiDomainEngine: x=" + std::to_string(gx) +
-                        " outside [0, " + std::to_string(this->geo_.box.nx) +
-                        ")");
-}
-
-template <class L>
 std::uint64_t MultiDomainEngine<L>::fault_sites() const {
   std::uint64_t total = 0;
   for (const auto& e : engines_) total += e->fault_sites();
@@ -205,7 +194,10 @@ void MultiDomainEngine<L>::set_time(int t) {
 template <class L>
 void MultiDomainEngine<L>::initialize(const typename Engine<L>::InitFn& init) {
   // Each slab initializes its whole local domain, ghosts included, mapping
-  // local to global coordinates.
+  // local to global coordinates. Equal to the default walk through the
+  // mirroring write_moments, but it goes through each slab's own
+  // initialize, so a slab engine's preconditions (AA's even-step guard)
+  // still hold for a decomposed run.
   for (int d = 0; d < devices(); ++d) {
     const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
     const int g0 = s.x_begin - (s.has_left ? s.ghost_depth : 0);
@@ -215,35 +207,57 @@ void MultiDomainEngine<L>::initialize(const typename Engine<L>::InitFn& init) {
 }
 
 template <class L>
-Moments<L> MultiDomainEngine<L>::moments_at(int gx, int y, int z) const {
-  const int d = owner_of(gx);
-  const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
-  return engines_[static_cast<std::size_t>(d)]->moments_at(s.local_x(gx), y, z);
+template <class Fn>
+void MultiDomainEngine<L>::split(const NodeRange& r, bool held,
+                                 Fn&& fn) const {
+  const int depth = ghost_depth_;
+  const auto nxr = static_cast<std::size_t>(r.x1 - r.x0);
+  for (int d = 0; d < devices(); ++d) {
+    const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
+    // Held planes include the ghost bands, which copy the neighbours'
+    // first/last `depth` owned planes.
+    const int g0 = s.x_begin - (held && s.has_left ? depth : 0);
+    const int g1 = s.x_end + (held && s.has_right ? depth : 0);
+    const int a = std::max(r.x0, g0);
+    const int b = std::min(r.x1, g1);
+    if (a >= b) continue;
+    const int la = s.local_x(a);
+    const int lb = s.local_x(b);
+    if (a == r.x0 && b == r.x1) {
+      fn(d, NodeRange{la, lb, r.y0, r.y1, r.z0, r.z1}, 0, r.size());
+      continue;
+    }
+    // The slab holds part of each row: one call per row segment.
+    std::size_t at = static_cast<std::size_t>(a - r.x0);
+    for (int z = r.z0; z < r.z1; ++z) {
+      for (int y = r.y0; y < r.y1; ++y, at += nxr) {
+        fn(d, NodeRange::row(la, lb, y, z), at,
+           static_cast<std::size_t>(b - a));
+      }
+    }
+  }
 }
 
 template <class L>
-void MultiDomainEngine<L>::impose(int gx, int y, int z, const Moments<L>& m) {
-  const int d = owner_of(gx);
-  const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
-  engines_[static_cast<std::size_t>(d)]->impose(s.local_x(gx), y, z, m);
-  // Mirror into neighbour ghost copies of this plane, if any. SlabInfo's
-  // local_x extends naturally past the owned range, so the neighbour's
-  // local coordinate of a plane inside its ghost band needs no special
-  // casing.
-  if (d > 0 && gx - s.x_begin < ghost_depth_) {
-    const SlabInfo& left = slabs_[static_cast<std::size_t>(d - 1)];
-    if (left.has_right) {
-      engines_[static_cast<std::size_t>(d - 1)]->impose(left.local_x(gx), y, z,
-                                                        m);
-    }
-  }
-  if (d + 1 < devices() && s.x_end - 1 - gx < ghost_depth_) {
-    const SlabInfo& right = slabs_[static_cast<std::size_t>(d + 1)];
-    if (right.has_left) {
-      engines_[static_cast<std::size_t>(d + 1)]->impose(right.local_x(gx), y, z,
-                                                        m);
-    }
-  }
+void MultiDomainEngine<L>::read_moments(const NodeRange& r,
+                                        std::span<Moments<L>> out) const {
+  this->check_range(r, out.size());
+  split(r, /*held=*/false,
+        [&](int d, const NodeRange& local, std::size_t at, std::size_t n) {
+          engines_[static_cast<std::size_t>(d)]->read_moments(
+              local, out.subspan(at, n));
+        });
+}
+
+template <class L>
+void MultiDomainEngine<L>::write_moments(const NodeRange& r,
+                                         std::span<const Moments<L>> in) {
+  this->check_range(r, in.size());
+  split(r, /*held=*/true,
+        [&](int d, const NodeRange& local, std::size_t at, std::size_t n) {
+          engines_[static_cast<std::size_t>(d)]->write_moments(
+              local, in.subspan(at, n));
+        });
 }
 
 template <class L>
@@ -282,53 +296,20 @@ gpusim::CommStats MultiDomainEngine<L>::comm_stats() const {
 }
 
 template <class L>
-void MultiDomainEngine<L>::exchange() {
-  const Box& b = this->geo_.box;
-  const int depth = ghost_depth_;
-  for (int d = 0; d + 1 < devices(); ++d) {
-    Engine<L>& left = *engines_[static_cast<std::size_t>(d)];
-    Engine<L>& right = *engines_[static_cast<std::size_t>(d + 1)];
-    const SlabInfo& ls = slabs_[static_cast<std::size_t>(d)];
-    const SlabInfo& rs = slabs_[static_cast<std::size_t>(d + 1)];
-    // Left's right ghost band <- right's first `depth` owned planes; right's
-    // left ghost band <- left's last `depth` owned planes.
-    const int l_last_owned = ls.local_x(ls.x_end - 1);
-    const int r_first_owned = rs.local_x(rs.x_begin);
-    for (int k = 0; k < depth; ++k) {
-      for (int z = 0; z < b.nz; ++z) {
-        for (int y = 0; y < b.ny; ++y) {
-          left.impose(l_last_owned + 1 + k, y, z,
-                      right.moments_at(r_first_owned + k, y, z));
-          right.impose(r_first_owned - 1 - k, y, z,
-                       left.moments_at(l_last_owned - k, y, z));
-        }
-      }
-    }
-  }
-  exchanged_total_ += exchanged_values_per_step();
-}
-
-template <class L>
 void MultiDomainEngine<L>::capture_interface_planes(int d, int par) {
   const Box& b = this->geo_.box;
   const int depth = ghost_depth_;
-  const std::size_t plane = static_cast<std::size_t>(b.ny) *
-                            static_cast<std::size_t>(b.nz);
+  const std::size_t block_n = static_cast<std::size_t>(depth) *
+                              static_cast<std::size_t>(b.ny) *
+                              static_cast<std::size_t>(b.nz);
+  stage_[par].resize(static_cast<std::size_t>(devices() - 1) * 2 * block_n);
   const SlabInfo& s = slabs_[static_cast<std::size_t>(d)];
-  Engine<L>& e = *engines_[static_cast<std::size_t>(d)];
-  std::vector<Moments<L>>& stage = stage_[par];
+  const Engine<L>& e = *engines_[static_cast<std::size_t>(d)];
   auto capture_block = [&](std::size_t block, int gx0) {
-    for (int k = 0; k < depth; ++k) {
-      const int lx = s.local_x(gx0 + k);
-      std::size_t at = (block * static_cast<std::size_t>(depth) +
-                        static_cast<std::size_t>(k)) *
-                       plane;
-      for (int z = 0; z < b.nz; ++z) {
-        for (int y = 0; y < b.ny; ++y, ++at) {
-          stage[at] = e.moments_at(lx, y, z);
-        }
-      }
-    }
+    const int lx = s.local_x(gx0);
+    e.read_moments(NodeRange::x_planes(b, lx, lx + depth),
+                   std::span<Moments<L>>(stage_[par]).subspan(block * block_n,
+                                                              block_n));
   };
   // Block (interface * 2 + dir): dir 0 carries slab i's last owned planes
   // rightward, dir 1 slab i+1's first owned planes leftward.
@@ -344,35 +325,28 @@ template <class L>
 void MultiDomainEngine<L>::apply_staged_ghosts(int par) {
   const Box& b = this->geo_.box;
   const int depth = ghost_depth_;
-  const std::size_t plane = static_cast<std::size_t>(b.ny) *
-                            static_cast<std::size_t>(b.nz);
-  const std::vector<Moments<L>>& stage = stage_[par];
+  const std::size_t block_n = static_cast<std::size_t>(depth) *
+                              static_cast<std::size_t>(b.ny) *
+                              static_cast<std::size_t>(b.nz);
+  const std::span<const Moments<L>> stage(stage_[par]);
   auto apply_block = [&](std::size_t block, Engine<L>& e, int lx0) {
-    for (int k = 0; k < depth; ++k) {
-      std::size_t at = (block * static_cast<std::size_t>(depth) +
-                        static_cast<std::size_t>(k)) *
-                       plane;
-      for (int z = 0; z < b.nz; ++z) {
-        for (int y = 0; y < b.ny; ++y, ++at) {
-          e.impose(lx0 + k, y, z, stage[at]);
-        }
-      }
-    }
+    e.write_moments(NodeRange::x_planes(b, lx0, lx0 + depth),
+                    stage.subspan(block * block_n, block_n));
   };
   for (int i = 0; i + 1 < devices(); ++i) {
-    Engine<L>& left = *engines_[static_cast<std::size_t>(i)];
-    Engine<L>& right = *engines_[static_cast<std::size_t>(i + 1)];
     const SlabInfo& ls = slabs_[static_cast<std::size_t>(i)];
     const SlabInfo& rs = slabs_[static_cast<std::size_t>(i + 1)];
     // dir 0 (left slab's planes) lands in the right slab's left ghost band,
-    // whose local x runs [0, depth) in ascending global order; dir 1 lands
-    // in the left slab's right ghost band, starting one past its last owned
-    // plane.
-    apply_block(static_cast<std::size_t>(i) * 2, right,
+    // local x [0, depth); dir 1 lands in the left slab's right ghost band,
+    // starting one past its last owned plane.
+    apply_block(static_cast<std::size_t>(i) * 2,
+                *engines_[static_cast<std::size_t>(i + 1)],
                 rs.local_x(rs.x_begin) - depth);
-    apply_block(static_cast<std::size_t>(i) * 2 + 1, left,
+    apply_block(static_cast<std::size_t>(i) * 2 + 1,
+                *engines_[static_cast<std::size_t>(i)],
                 ls.local_x(ls.x_end - 1) + 1);
   }
+  exchanged_total_ += exchanged_values_per_step();
 }
 
 template <class L>
@@ -477,20 +451,16 @@ void MultiDomainEngine<L>::step_lockstep() {
     cs.steps = 1;
     p->comm_stats() += cs;
   }
-  if (!skip_exchange_) exchange();
+  if (skip_exchange_) return;
+  const int par = static_cast<int>(this->t_ & 1);
+  for (int d = 0; d < devices(); ++d) capture_interface_planes(d, par);
+  apply_staged_ghosts(par);
 }
 
 template <class L>
 void MultiDomainEngine<L>::step_overlapped() {
-  const Box& b = this->geo_.box;
-  const int depth = ghost_depth_;
   const int n = devices();
   const int par = static_cast<int>(this->t_ & 1);
-  const std::size_t stage_n = static_cast<std::size_t>(n - 1) * 2 *
-                              static_cast<std::size_t>(depth) *
-                              static_cast<std::size_t>(b.ny) *
-                              static_cast<std::size_t>(b.nz);
-  stage_[par].resize(stage_n);
 
   std::vector<std::uint64_t> frontier_bytes(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> interior_bytes(static_cast<std::size_t>(n), 0);
@@ -501,8 +471,8 @@ void MultiDomainEngine<L>::step_overlapped() {
     // The frontier must finalize the ghost band (depth planes of open-face
     // junk the exchange overwrites) plus the owned planes the neighbours
     // need — 2 x depth planes per interface side.
-    const FrontierSpec fs{s.has_left ? 2 * depth : 0,
-                          s.has_right ? 2 * depth : 0};
+    const FrontierSpec fs{s.has_left ? 2 * ghost_depth_ : 0,
+                          s.has_right ? 2 * ghost_depth_ : 0};
     gpusim::Profiler* p = have_model_ ? e.profiler() : nullptr;
     gpusim::TrafficSnapshot t0, t1;
     if (p != nullptr) t0 = p->counter().snapshot();
@@ -520,11 +490,10 @@ void MultiDomainEngine<L>::step_overlapped() {
     // interface planes are final when on_frontier fires and that no later
     // launch touches them, so capturing here reads the same values while
     // the engine's phase bookkeeping (ping-pong side, AA parity, clock) is
-    // consistent for moments_at.
+    // consistent for read_moments.
     capture_interface_planes(d, par);
   }
   apply_staged_ghosts(par);
-  exchanged_total_ += exchanged_values_per_step();
   if (have_model_) account_overlap(frontier_bytes, interior_bytes);
 }
 

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -117,9 +118,13 @@ class MultiDomainEngine final : public Engine<L> {
 
   [[nodiscard]] const char* pattern_name() const override { return "MULTI"; }
   void initialize(const typename Engine<L>::InitFn& init) override;
-  [[nodiscard]] Moments<L> moments_at(int gx, int y, int z) const override;
-  /// Writes to the owning slab and to any neighbour ghost copy of the plane.
-  void impose(int gx, int y, int z, const Moments<L>& m) override;
+  /// Reads each node from its owning slab.
+  void read_moments(const NodeRange& r,
+                    std::span<Moments<L>> out) const override;
+  /// Writes each node to its owning slab and to any neighbour ghost copy of
+  /// its plane.
+  void write_moments(const NodeRange& r,
+                     std::span<const Moments<L>> in) override;
   [[nodiscard]] std::size_t state_bytes() const override;
   /// Storage precision of the slab engines (the factory builds them
   /// uniformly; mixed-precision decompositions report the first slab).
@@ -136,7 +141,7 @@ class MultiDomainEngine final : public Engine<L> {
 
   /// One sanitizer observes every slab engine ("device"). The per-array
   /// launch-touch counters in the sanitizer keep the slabs' interleaved
-  /// launches independent, and the ghost exchange's host-side impose()
+  /// launches independent, and the ghost exchange's host-side plane
   /// writes re-stamp every ghost plane fresh each step — so a decomposed
   /// run is hazard-free exactly when its slabs are, and a *skipped*
   /// exchange surfaces as stale ghost reads.
@@ -242,14 +247,21 @@ class MultiDomainEngine final : public Engine<L> {
   void do_step() override;
 
  private:
-  [[nodiscard]] int owner_of(int gx) const;
-  void exchange();
+  /// Splits global box `r` by slab: calls fn(d, local, at, n) per slab d
+  /// holding part of it, `local` being that part in d's coordinates and
+  /// [at, at + n) its nodes in r's walk order (one call per slab when the
+  /// slab holds all of r's x-extent, else one per row). `held` = false
+  /// visits owned planes only; true adds the ghost-band copies.
+  template <class Fn>
+  void split(const NodeRange& r, bool held, Fn&& fn) const;
   void step_lockstep();
   void step_overlapped();
-  /// Copies slab d's owned interface planes into the staging buffer for
+  /// Reads slab d's owned interface planes into the staging buffer for
   /// step parity `par`.
   void capture_interface_planes(int d, int par);
-  /// Imposes the staged interface planes into the neighbouring ghost bands.
+  /// Writes the staged interface planes into the neighbouring ghost bands
+  /// and counts the exchanged values. Lockstep and overlap both exchange
+  /// through this pair; they differ only in when the capture happens.
   void apply_staged_ghosts(int par);
   /// Builds the per-step stream/event schedule from the measured frontier /
   /// interior bytes and accumulates exposed/hidden attribution into the
@@ -269,10 +281,10 @@ class MultiDomainEngine final : public Engine<L> {
   gpusim::Timeline last_tl_;
   /// Double-buffered interface staging, indexed by step parity: the capture
   /// of step t never overwrites the buffer a (modeled) in-flight transfer of
-  /// step t-1 would still be reading. Layout per buffer:
-  /// ((interface * 2 + dir) * depth + k) * ny * nz + z * ny + y, where dir 0
-  /// carries left-slab planes rightward and dir 1 right-slab planes leftward,
-  /// and k walks the depth planes in ascending global x.
+  /// step t-1 would still be reading. Layout per buffer: one block of
+  /// depth x ny x nz nodes per (interface * 2 + dir), in the x-fastest walk
+  /// order of the block's planes, where dir 0 carries left-slab planes
+  /// rightward and dir 1 right-slab planes leftward.
   std::vector<Moments<L>> stage_[2];
 };
 

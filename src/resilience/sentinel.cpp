@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mlbm::resilience {
 
@@ -38,14 +39,16 @@ SentinelReport StabilitySentinel<L>::check(const Engine<L>& eng) const {
 
   const Geometry& geo = eng.geometry();
   const bool any_solid = geo.has_solids();
+  std::vector<Moments<L>> row(static_cast<std::size_t>(b.nx));
   for (int z = 0; z < b.nz; ++z) {
     for (int y = 0; y < b.ny; y += stride) {
+      eng.read_moments(NodeRange::row(0, b.nx, y, z), row);
       for (int x = 0; x < b.nx; x += stride) {
         // Solid nodes carry no state and report the canonical blanked
         // moments (rho = 0, inside no density band): they are not part of
         // the stability question.
         if (any_solid && geo.solid(x, y, z)) continue;
-        const Moments<L> m = eng.moments_at(x, y, z);
+        const Moments<L>& m = row[static_cast<std::size_t>(x)];
         if (!std::isfinite(m.rho)) {
           fail(SentinelReport::Reason::kNonFinite, x, y, z, m.rho);
           return rep;

@@ -5,7 +5,8 @@
 // rounding, or an injected soft error) the first symptom is a non-finite or
 // out-of-bounds moment. The sentinel samples the moment interface — which
 // every engine, including MultiDomainEngine, exposes exactly — on a strided
-// grid, so a check costs a small, cadence-amortized fraction of a timestep
+// grid (every stride-th row, read whole through read_moments), so a check
+// costs a small, cadence-amortized fraction of a timestep
 // (docs/resilience.md quantifies the trade-off).
 //
 // This is the promotion of the ad-hoc detector that used to live inside the

@@ -1,23 +1,17 @@
 #include "resilience/snapshot.hpp"
 
+#include <span>
+#include <vector>
+
 #include "multidev/multi_domain.hpp"
 #include "util/error.hpp"
 
 namespace mlbm::resilience {
 
-namespace {
-
-template <class L>
-constexpr int node_values() {
-  return 1 + L::D + Moments<L>::NP;
-}
-
-}  // namespace
-
 template <class L>
 StateSnapshot<L> capture_state(const Engine<L>& eng, int step,
                                bool with_moments) {
-  constexpr int NV = node_values<L>();
+  constexpr int NV = Moments<L>::NV;
   const Box& b = eng.geometry().box;
 
   StateSnapshot<L> snap;
@@ -27,27 +21,20 @@ StateSnapshot<L> capture_state(const Engine<L>& eng, int step,
   if (!snap.raw_tag.empty()) eng.serialize_raw_state(snap.raw);
 
   // The portable moment payload is the expensive part of a capture (a full
-  // moments_at sweep); callers that can only ever restore into the same
+  // read_moments sweep); callers that can only ever restore into the same
   // engine (raw tag match guaranteed) may skip it. A moment-only engine
   // always needs it — it is the only state representation available.
   if (with_moments || snap.raw_tag.empty()) {
     snap.values.resize(static_cast<std::size_t>(b.cells()) *
                        static_cast<std::size_t>(NV));
     real_t* v = snap.values.data();
-    for (int z = 0; z < b.nz; ++z) {
-      for (int y = 0; y < b.ny; ++y) {
-        for (int x = 0; x < b.nx; ++x, v += NV) {
-          const Moments<L> m = eng.moments_at(x, y, z);
-          v[0] = m.rho;
-          for (int a = 0; a < L::D; ++a) {
-            v[1 + a] = m.u[static_cast<std::size_t>(a)];
-          }
-          for (int p = 0; p < Moments<L>::NP; ++p) {
-            v[1 + L::D + p] = m.pi[static_cast<std::size_t>(p)];
-          }
-        }
-      }
-    }
+    for_each_row(eng, NodeRange{0, b.nx, 0, b.ny, 0, b.nz},
+                 [&v](int, int, std::span<const Moments<L>> row) {
+                   for (const Moments<L>& m : row) {
+                     m.pack(v);
+                     v += NV;
+                   }
+                 });
   }
 
   for_each_profiler(eng, [&snap](const gpusim::Profiler& p) {
@@ -61,7 +48,7 @@ StateSnapshot<L> capture_state(const Engine<L>& eng, int step,
 
 template <class L>
 void restore_state(Engine<L>& eng, const StateSnapshot<L>& snap) {
-  constexpr int NV = node_values<L>();
+  constexpr int NV = Moments<L>::NV;
   const Box& b = eng.geometry().box;
 
   // Re-time FIRST: buffer parity (AA) and circular-shift layer addressing
@@ -85,19 +72,14 @@ void restore_state(Engine<L>& eng, const StateSnapshot<L>& snap) {
       throw ConfigError("restore_state: snapshot does not match engine box");
     }
     const real_t* v = snap.values.data();
-    Moments<L> m;
+    std::vector<Moments<L>> row(static_cast<std::size_t>(b.nx));
     for (int z = 0; z < b.nz; ++z) {
       for (int y = 0; y < b.ny; ++y) {
-        for (int x = 0; x < b.nx; ++x, v += NV) {
-          m.rho = v[0];
-          for (int a = 0; a < L::D; ++a) {
-            m.u[static_cast<std::size_t>(a)] = v[1 + a];
-          }
-          for (int p = 0; p < Moments<L>::NP; ++p) {
-            m.pi[static_cast<std::size_t>(p)] = v[1 + L::D + p];
-          }
-          eng.impose(x, y, z, m);
+        for (Moments<L>& m : row) {
+          m = Moments<L>::unpack(v);
+          v += NV;
         }
+        eng.write_moments(NodeRange::row(0, b.nx, y, z), row);
       }
     }
   }

@@ -115,6 +115,7 @@ class CheckpointError : public IoError {
     kPrecision,  ///< precision tag outside the known range
     kTrailing,   ///< payload complete but trailing bytes follow
     kGeometry,   ///< geometry hash or flag field disagrees with the engine
+    kDigest,     ///< payload bytes disagree with the stored digest (v4)
   };
 
   CheckpointError(Kind kind, const std::string& msg)
@@ -134,6 +135,7 @@ class CheckpointError : public IoError {
       case Kind::kPrecision: return "precision";
       case Kind::kTrailing: return "trailing";
       case Kind::kGeometry: return "geometry";
+      case Kind::kDigest: return "digest";
     }
     return "unknown";
   }

@@ -25,13 +25,10 @@ template <class L>
 real_t LidDrivenCavity<L>::total_mass(const Engine<L>& eng) {
   const Box& b = eng.geometry().box;
   real_t m = 0;
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        m += eng.moments_at(x, y, z).rho;
-      }
-    }
-  }
+  for_each_row(eng, NodeRange{0, b.nx, 0, b.ny, 0, b.nz},
+               [&m](int, int, std::span<const Moments<L>> row) {
+                 for (const Moments<L>& n : row) m += n.rho;
+               });
   return m;
 }
 

@@ -88,14 +88,13 @@ real_t PorousPlug<L>::superficial_velocity(const Engine<L>& eng) const {
   const Box& b = geo.box;
   real_t sum = 0;
   long long n = 0;
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 1; x < b.nx - 1; ++x) {
-        sum += eng.moments_at(x, y, z).u[0];  // solids report zero
-        ++n;
-      }
-    }
-  }
+  for_each_row(eng, NodeRange{1, b.nx - 1, 0, b.ny, 0, b.nz},
+               [&](int, int, std::span<const Moments<L>> row) {
+                 for (const Moments<L>& m : row) {
+                   sum += m.u[0];  // solids report zero
+                   ++n;
+                 }
+               });
   return sum / static_cast<real_t>(n);
 }
 

@@ -77,19 +77,17 @@ template <class L>
 real_t TaylorGreen<L>::kinetic_energy(const Engine<L>& eng) {
   const Box& b = eng.geometry().box;
   real_t e = 0;
-  for (int z = 0; z < b.nz; ++z) {
-    for (int y = 0; y < b.ny; ++y) {
-      for (int x = 0; x < b.nx; ++x) {
-        const Moments<L> m = eng.moments_at(x, y, z);
-        real_t uu = 0;
-        for (int a = 0; a < L::D; ++a) {
-          uu += m.u[static_cast<std::size_t>(a)] *
-                m.u[static_cast<std::size_t>(a)];
-        }
-        e += real_t(0.5) * m.rho * uu;
-      }
-    }
-  }
+  for_each_row(eng, NodeRange{0, b.nx, 0, b.ny, 0, b.nz},
+               [&e](int, int, std::span<const Moments<L>> row) {
+                 for (const Moments<L>& m : row) {
+                   real_t uu = 0;
+                   for (int a = 0; a < L::D; ++a) {
+                     uu += m.u[static_cast<std::size_t>(a)] *
+                           m.u[static_cast<std::size_t>(a)];
+                   }
+                   e += real_t(0.5) * m.rho * uu;
+                 }
+               });
   return e;
 }
 

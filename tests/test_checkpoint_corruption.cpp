@@ -1,7 +1,7 @@
 // Corrupt-checkpoint matrix: load_checkpoint must classify every
 // malformation as a typed CheckpointError — and leave the target engine
-// bit-for-bit untouched, because validation completes before the first
-// impose().
+// bit-for-bit untouched, because validation (payload digest included)
+// completes before the first write_moments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -78,7 +78,7 @@ void expect_rejected(const std::vector<char>& bytes,
     EXPECT_FALSE(e.transient());
   }
   EXPECT_TRUE(threw);
-  // Validation failed => no impose() ran => engine untouched.
+  // Validation failed => nothing was written => engine untouched.
   EXPECT_EQ(before, dump_moments(*target));
   std::filesystem::remove(path);
 }
@@ -89,9 +89,31 @@ class CheckpointCorruption : public ::testing::Test {
     path_ = tmp_path("mlbm_corrupt_master.bin");
     save_checkpoint(*make_engine(), path_);
     good_ = slurp_bytes(path_);
-    // v3 layout: 8-byte magic, 7 x int32 header, 8-byte geometry hash, then
-    // the payload (the all-fluid master file carries no flag field).
-    ASSERT_GT(good_.size(), 44u);
+    // v4 layout: 8-byte magic, 7 x int32 header, 8-byte geometry hash, the
+    // payload (the all-fluid master file carries no flag field), then the
+    // 8-byte payload digest.
+    ASSERT_GT(good_.size(), kPayloadAt + kDigestBytes);
+  }
+
+  static constexpr std::size_t kPayloadAt = 44;
+  static constexpr std::size_t kDigestBytes = 8;
+
+  /// The good file rewritten as an older format: `magic`, the first
+  /// `header_ints` header ints, the geometry hash when `with_hash`, and the
+  /// payload without the digest trailer.
+  std::vector<char> as_version(std::uint64_t magic, int header_ints,
+                               bool with_hash) const {
+    std::vector<char> out(sizeof(magic));
+    std::memcpy(out.data(), &magic, sizeof(magic));
+    out.insert(out.end(), good_.begin() + 8,
+               good_.begin() + 8 + 4 * header_ints);
+    if (with_hash) {
+      out.insert(out.end(), good_.begin() + 36, good_.begin() + 44);
+    }
+    out.insert(out.end(),
+               good_.begin() + static_cast<std::ptrdiff_t>(kPayloadAt),
+               good_.end() - static_cast<std::ptrdiff_t>(kDigestBytes));
+    return out;
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
@@ -224,14 +246,11 @@ TEST_F(CheckpointCorruption, TrailingGarbageIsRejected) {
 }
 
 TEST_F(CheckpointCorruption, V1FilesRemainLoadable) {
-  // Rewrite the good v3/fp64 file as v1: v1 magic, 5-int header, same
-  // payload bytes (v1 is always fp64; the v3 payload starts after the 7-int
-  // header and the geometry hash, at byte 44).
-  const std::uint64_t magic_v1 = 0x4d4c424d43503031ULL;
-  std::vector<char> v1(sizeof(magic_v1));
-  std::memcpy(v1.data(), &magic_v1, sizeof(magic_v1));
-  v1.insert(v1.end(), good_.begin() + 8, good_.begin() + 8 + 20);
-  v1.insert(v1.end(), good_.begin() + 44, good_.end());
+  // Rewrite the good v4/fp64 file as v1: v1 magic, 5-int header, same
+  // payload bytes (v1 is always fp64; the v4 payload starts after the 7-int
+  // header and the geometry hash, at byte 44, and ends before the digest).
+  const std::vector<char> v1 =
+      as_version(0x4d4c424d43503031ULL, 5, /*with_hash=*/false);
 
   const std::string path = tmp_path("mlbm_ckpt_v1.bin");
   spit_bytes(path, v1);
@@ -251,6 +270,60 @@ TEST_F(CheckpointCorruption, V1FilesRemainLoadable) {
     EXPECT_NEAR(src[i], dst[i], 1e-12) << "value " << i;
   }
   std::filesystem::remove(path);
+}
+
+TEST_F(CheckpointCorruption, V2AndV3FilesLoadTheSamePayload) {
+  // v2 and v3 files carry the same payload bytes without a digest; they load
+  // into exactly the state the v4 file loads.
+  StEngine<D2Q9> want(make_engine()->geometry(), 0.8);
+  load_checkpoint(want, path_);
+  const std::vector<double> expected = dump_moments(want);
+  const struct {
+    std::uint64_t magic;
+    int header_ints;
+    bool with_hash;
+    const char* tag;
+  } versions[] = {{0x4d4c424d43503032ULL, 6, false, "v2"},
+                  {0x4d4c424d43503033ULL, 7, true, "v3"}};
+  for (const auto& v : versions) {
+    SCOPED_TRACE(v.tag);
+    const std::string path =
+        tmp_path(std::string("mlbm_ckpt_") + v.tag + ".bin");
+    spit_bytes(path, as_version(v.magic, v.header_ints, v.with_hash));
+    StEngine<D2Q9> got(want.geometry(), 0.8);
+    load_checkpoint(got, path);
+    EXPECT_EQ(expected, dump_moments(got));
+    std::filesystem::remove(path);
+  }
+}
+
+TEST_F(CheckpointCorruption, PayloadBitFlipMatrix) {
+  // One flipped bit anywhere in the payload — first, middle or last value;
+  // sign, exponent or mantissa — must fail the digest check before any
+  // state is written. So must a flipped bit in the digest itself.
+  const std::size_t values =
+      (good_.size() - kPayloadAt - kDigestBytes) / sizeof(double);
+  const struct {
+    std::size_t value;
+    const char* where;
+  } cells[] = {{0, "first"}, {values / 2, "middle"}, {values - 1, "last"}};
+  const struct {
+    int bit;
+    const char* what;
+  } bits[] = {{63, "sign"}, {56, "exponent"}, {12, "mantissa"}};
+  for (const auto& c : cells) {
+    for (const auto& b : bits) {
+      std::vector<char> bad = good_;
+      const std::size_t at = kPayloadAt + c.value * sizeof(double) +
+                              static_cast<std::size_t>(b.bit / 8);
+      bad[at] = static_cast<char>(bad[at] ^ (1 << (b.bit % 8)));
+      expect_rejected(bad, CheckpointError::Kind::kDigest,
+                      std::string(c.where) + "_" + b.what);
+    }
+  }
+  std::vector<char> bad = good_;
+  bad[good_.size() - 1] = static_cast<char>(bad[good_.size() - 1] ^ 0x10);
+  expect_rejected(bad, CheckpointError::Kind::kDigest, "digest_bit");
 }
 
 // ---- Atomic save: tmp + flush + rename ----

@@ -198,11 +198,12 @@ TEST(PrecisionCheckpoint, MrFp32RoundTripIsBitExact) {
 
   const std::string path = tmp_path("mlbm_ckpt_fp32_mr.bin");
   save_checkpoint(a, path);
-  // The fp32 file is half the payload of the fp64 format. v3 layout: magic,
-  // 7-int header, geometry hash, then the payload (all-fluid => no flags).
+  // The fp32 file is half the payload of the fp64 format. v4 layout: magic,
+  // 7-int header, geometry hash, the payload (all-fluid => no flags), then
+  // the 8-byte payload digest.
   const auto file_bytes = std::filesystem::file_size(path);
   const std::size_t nodes = 12 * 12;
-  EXPECT_EQ(file_bytes, 8 + 7 * 4 + 8 + nodes * 6 * sizeof(float));
+  EXPECT_EQ(file_bytes, 8 + 7 * 4 + 8 + nodes * 6 * sizeof(float) + 8);
 
   MrEngine<D2Q9, float> b(tg.geo, 0.8, Regularization::kProjective, {8, 1, 2});
   load_checkpoint(b, path);
