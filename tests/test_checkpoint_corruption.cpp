@@ -4,6 +4,7 @@
 // completes before the first write_moments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -103,16 +104,18 @@ class CheckpointCorruption : public ::testing::Test {
   /// payload without the digest trailer.
   std::vector<char> as_version(std::uint64_t magic, int header_ints,
                                bool with_hash) const {
-    std::vector<char> out(sizeof(magic));
+    const auto header_bytes = static_cast<std::ptrdiff_t>(4 * header_ints);
+    const auto payload_at = static_cast<std::ptrdiff_t>(kPayloadAt);
+    const auto digest = static_cast<std::ptrdiff_t>(kDigestBytes);
+    std::vector<char> out(sizeof(magic) +
+                          static_cast<std::size_t>(header_bytes) +
+                          (with_hash ? 8u : 0u) + good_.size() -
+                          kPayloadAt - kDigestBytes);
     std::memcpy(out.data(), &magic, sizeof(magic));
-    out.insert(out.end(), good_.begin() + 8,
-               good_.begin() + 8 + 4 * header_ints);
-    if (with_hash) {
-      out.insert(out.end(), good_.begin() + 36, good_.begin() + 44);
-    }
-    out.insert(out.end(),
-               good_.begin() + static_cast<std::ptrdiff_t>(kPayloadAt),
-               good_.end() - static_cast<std::ptrdiff_t>(kDigestBytes));
+    auto p = out.begin() + static_cast<std::ptrdiff_t>(sizeof(magic));
+    p = std::copy(good_.begin() + 8, good_.begin() + 8 + header_bytes, p);
+    if (with_hash) p = std::copy(good_.begin() + 36, good_.begin() + 44, p);
+    std::copy(good_.begin() + payload_at, good_.end() - digest, p);
     return out;
   }
   void TearDown() override { std::filesystem::remove(path_); }
